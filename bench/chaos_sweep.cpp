@@ -25,10 +25,15 @@
 //
 // SF_CHAOS_SMOKE=1 shrinks both sweeps (fewer levels, smaller workloads)
 // for the tier-1 smoke leg; the output format is unchanged.
+//
+// SF_CHAOS_JSON=<path> also writes the gray-ejection and catalog ablation
+// rows (plus nproc and the sweep thread count) as JSON, leaving stdout
+// untouched — bench/run_bench.sh commits that file as BENCH_fullstack.json.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -807,5 +812,62 @@ int main() {
   stampede_table.print_text(std::cout);
   std::cout << "\nsingle-flight folds the stampede into one wire fetch "
                "whose reply fans out to every waiter\n";
+
+  if (const char* json_path = std::getenv("SF_CHAOS_JSON");
+      json_path != nullptr && json_path[0] != '\0') {
+    const auto json_bool = [](bool ok) { return ok ? "true" : "false"; };
+    std::ofstream out(json_path);
+    sf::bench::json_header(
+        out,
+        "seed-pure chaos_sweep ablations: gray-failure makespans with "
+        "outlier ejection off/on, catalog-outage makespans with cache + "
+        "breaker + stale reads off/on, and the cold-key stampede with "
+        "coalescing off/on; each pair shares every other knob",
+        runner.threads());
+    out << "  \"gray_ejection_ablation\": [\n";
+    for (std::size_t i = 0; i < gray_points; ++i) {
+      const GrayResult& r = gray_results[i];
+      out << "    {\"level\": \"" << gray_levels[i / 2].label
+          << "\", \"ejection\": \"" << ((i % 2) == 1 ? "on" : "off")
+          << "\", \"cpu_slow\": " << r.cpu_slows << ", \"flaky\": " << r.flaky
+          << ", \"oneway\": " << r.oneway << ", \"ejections\": " << r.ejections
+          << ", \"readmissions\": " << r.readmissions
+          << ", \"route_retries\": " << r.route_retries
+          << ", \"unresponsive\": " << r.unresponsive
+          << ", \"makespan_s\": " << r.makespan_s
+          << ", \"ok\": " << json_bool(r.ok)
+          << "}" << (i + 1 < gray_points ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"catalog_ablation\": [\n";
+    for (std::size_t i = 0; i < cat_points; ++i) {
+      const CatalogResult& r = cat_results[i];
+      out << "    {\"level\": \"" << cat_levels[i / 2].label
+          << "\", \"resilience\": \"" << ((i % 2) == 1 ? "on" : "off")
+          << "\", \"outages\": " << r.outages << ", \"lookups\": " << r.lookups
+          << ", \"cache_hits\": " << r.cache_hits
+          << ", \"stale_served\": " << r.stale
+          << ", \"coalesced\": " << r.coalesced
+          << ", \"service_calls\": " << r.service_calls
+          << ", \"retries\": " << r.retries
+          << ", \"breaker_opens\": " << r.breaker_opens
+          << ", \"errors\": " << r.errors
+          << ", \"makespan_s\": " << r.makespan_s
+          << ", \"ok\": " << json_bool(r.ok) << "}"
+          << (i + 1 < cat_points ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"catalog_stampede\": [\n";
+    for (std::size_t i = 0; i < 2; ++i) {
+      const StampedeResult& r = stampede_results[i];
+      out << "    {\"coalescing\": \"" << (i == 1 ? "on" : "off")
+          << "\", \"clients\": " << stampede_clients
+          << ", \"lookups\": " << r.lookups
+          << ", \"coalesced\": " << r.coalesced
+          << ", \"service_calls\": " << r.service_calls
+          << ", \"drain_s\": " << r.drain_s
+          << ", \"ok\": " << json_bool(r.ok) << "}"
+          << (i == 0 ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+  }
   return 0;
 }

@@ -1,6 +1,12 @@
 // Micro-benchmarks (google-benchmark): costs of the simulation engine
 // itself plus the one real computation in the repository — the matmul
 // kernel used to sanity-check the calibrated task cost.
+//
+// bench/run_bench.sh runs every benchmark here through --benchmark_out and
+// bench/record_engine.py rewrites BENCH_engine.json from that file: each
+// median beside the stddev/cv of its repetitions. A median slower than
+// the committed one beyond that noise band fails the run; the committed
+// file is the baseline and git history keeps the older numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -247,8 +253,8 @@ BENCHMARK(BM_CondorNegotiate)->Arg(64)->Arg(256);
 // Trace hot path at volume: the 10^5..10^6-events-per-run regime the
 // scale sweep lives in. Each record carries two attributes, one with a
 // dynamic value — the shape of "request_done {pod, code}". Recorded
-// before and after the interned-id / chunked-arena swap (BENCH_engine.json
-// keeps the pre-swap numbers under baseline_ns).
+// before and after the interned-id / chunked-arena swap (the pre-swap
+// numbers are BENCH_engine.json's baseline_ns in git history).
 void BM_TraceRecordHotPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::TraceRecorder tr;
@@ -362,8 +368,8 @@ BENCHMARK(BM_SchedulerScaled)->Arg(2048);
 // The three per-tick control-plane costs that gate the scale curve past
 // 1024 nodes: kubelet heartbeat renewal, the node-lifecycle sweep, and the
 // deployment reconcile scan. Recorded before and after the heartbeat-wheel
-// / pod-index / deadline-queue rewrite (BENCH_engine.json keeps the
-// pre-rewrite numbers under baseline_ns).
+// / pod-index / deadline-queue rewrite (the pre-rewrite numbers are
+// BENCH_engine.json's baseline_ns in git history).
 
 // Heartbeat renewal for a full cluster over 5 sim-seconds. Per-kubelet
 // self-rearming timers pay one engine event + one lease-map lookup per
@@ -498,8 +504,8 @@ BENCHMARK(BM_RouterPickBackend);
 // path of each workflow. After the interned-id rewrite a lookup is one
 // lfn hash plus one dense vector index; BM_CatalogLookupMap keeps the
 // pre-rewrite shape — a red-black tree keyed by the full lfn string,
-// every probe a log(n) walk of string comparisons — as the baseline the
-// BENCH_engine.json speedup is measured against.
+// every probe a log(n) walk of string comparisons — as the baseline
+// BM_CatalogLookup's speedup is measured against.
 void BM_CatalogLookup(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Simulation sim;

@@ -30,8 +30,9 @@
 // order — stdout is bit-identical at any SF_SWEEP_THREADS (enforced by the
 // scripts/tier1.sh --scale golden diff). Wall-clock is measured per point
 // but NEVER printed to stdout; set SF_SCALE_JSON=<path> to write it (plus
-// the deterministic metrics) as JSON — bench/run_bench.sh merges that into
-// BENCH_scale.json.
+// the deterministic metrics, nproc, the sweep thread count and the whole
+// run's wall time) as JSON — bench/run_bench.sh commits that file as
+// BENCH_scale.json unchanged.
 //
 // SF_SCALE_SMOKE=1 shrinks both sweeps for the tier-1 golden leg; the
 // output format is unchanged.
@@ -344,6 +345,7 @@ DagResult run_dag_point(const DagPoint& p) {
 }  // namespace
 
 int main() {
+  const auto wall0 = std::chrono::steady_clock::now();
   const bool smoke = smoke_mode();
 
   sf::bench::banner(
@@ -487,7 +489,13 @@ int main() {
   if (const char* json_path = std::getenv("SF_SCALE_JSON");
       json_path != nullptr && json_path[0] != '\0') {
     std::ofstream out(json_path);
-    out << "{\n  \"serving\": [\n";
+    sf::bench::json_header(
+        out,
+        "scale_sweep curve: open-loop serving, layered-DAG and mixed "
+        "points; sim-time metrics plus wall-clock per point",
+        runner.threads());
+    out << "  \"total_wall_s\": " << wall_since(wall0)
+        << ",\n  \"serving\": [\n";
     for (std::size_t i = 0; i < serving_points.size(); ++i) {
       const ServingPoint& p = serving_points[i];
       const ServingResult& r = serving_results[i];

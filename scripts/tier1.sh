@@ -5,6 +5,7 @@
 # Usage: scripts/tier1.sh [build-dir]            (default: ./build)
 #        scripts/tier1.sh --tsan [build-dir]     (default: ./build-tsan)
 #        scripts/tier1.sh --asan [build-dir]     (default: ./build-asan)
+#        scripts/tier1.sh --release [build-dir]  (default: ./build-release)
 #        scripts/tier1.sh --chaos [build-dir]    (default: ./build)
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
 #
@@ -17,6 +18,10 @@
 # pods/claims/containers out from under in-flight continuations; ASan is
 # what catches a stale `this` or use-after-free the happy path never
 # trips.
+#
+# --release builds everything as an optimized Release build and runs the
+# full suite. Some GCC warnings (-Wformat-truncation, -Wrestrict) only
+# fire once -O3 inlines enough; they are errors here as everywhere.
 #
 # --chaos builds bench/chaos_sweep and runs its smoke subset at 1 and 4
 # sweep threads, diffing both against the committed golden transcript.
@@ -99,6 +104,14 @@ if [[ "${1:-}" == "--asan" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -g" \
     -DSERVERFLOW_BUILD_BENCH=OFF \
     -DSERVERFLOW_BUILD_EXAMPLES=OFF
+  cmake --build "$build_dir" -j
+  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+  exit 0
+fi
+
+if [[ "${1:-}" == "--release" ]]; then
+  build_dir="${2:-$repo_root/build-release}"
+  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$build_dir" -j
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   exit 0

@@ -67,7 +67,8 @@ void EventDrivenRunner::setup(const ProvisioningPolicy& policy) {
       event.type = kDoneEvent;
       event.source = std::string("serverflow/") + kTaskService;
       event.extensions["job"] = task.job_id;
-      event.extensions["ok"] = ok ? "1" : "0";
+      // A std::string, not the bare literal: GCC 12 -O3 -Wrestrict.
+      event.extensions["ok"] = std::string(ok ? "1" : "0");
       event.data_bytes = 256;
       broker_.publish(node, std::move(event), {});
       net::HttpResponse resp;

@@ -27,14 +27,6 @@ Scheduler::Scheduler(ApiServer& api, ImageLocalityFn image_locality)
   });
 }
 
-double Scheduler::requested_cpu_on(const std::string& node) const {
-  return api_.node_usage(node).cpu;
-}
-
-double Scheduler::requested_memory_on(const std::string& node) const {
-  return api_.node_usage(node).memory;
-}
-
 void Scheduler::try_schedule(const std::string& pod_name) {
   const Pod* pod = api_.get_pod(pod_name);
   if (pod == nullptr || pod->phase != PodPhase::kPending ||
@@ -62,7 +54,7 @@ void Scheduler::try_schedule(const std::string& pod_name) {
     double score =
         1.0 - (used_cpu + pod->cpu_request) / node.allocatable_cpu;
     if (image_locality_ && image_locality_(name, pod->container.image)) {
-      score += locality_weight_;
+      score += kLocalityWeight;
     }
     if (score > best_score) {
       best_score = score;

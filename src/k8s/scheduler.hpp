@@ -29,18 +29,15 @@ class Scheduler {
   }
   [[nodiscard]] std::uint64_t binds() const { return binds_; }
 
-  /// Weight of the image-locality term relative to least-requested.
-  void set_locality_weight(double w) { locality_weight_ = w; }
-
  private:
+  /// Weight of the image-locality term relative to least-requested.
+  static constexpr double kLocalityWeight = 0.3;
+
   void try_schedule(const std::string& pod_name);
   void retry_pending();
-  [[nodiscard]] double requested_cpu_on(const std::string& node) const;
-  [[nodiscard]] double requested_memory_on(const std::string& node) const;
 
   ApiServer& api_;
   ImageLocalityFn image_locality_;
-  double locality_weight_ = 0.3;
   std::set<std::string> unschedulable_;
   bool retry_scheduled_ = false;
   std::uint64_t binds_ = 0;

@@ -22,7 +22,10 @@ Broker::Broker(KnativeServing& serving, cluster::Node& host,
                [respond = std::move(respond)](bool delivered_all) mutable {
                  net::HttpResponse resp;
                  resp.status = 202;
-                 resp.headers["delivered-all"] = delivered_all ? "1" : "0";
+                 // A std::string, not the bare literal: GCC 12 -O3
+                 // -Wrestrict false positive.
+                 resp.headers["delivered-all"] =
+                     std::string(delivered_all ? "1" : "0");
                  respond(std::move(resp));
                });
       });

@@ -223,6 +223,11 @@ class KnativeServing {
   [[nodiscard]] const Annotations* service_annotations(
       const std::string& service) const;
 
+  /// `<service>-<generation>`, the generation zero-padded to five digits
+  /// ("fn-00001"); wider generations keep every digit ("fn-1000000").
+  static std::string revision_name(const std::string& service,
+                                   int generation);
+
  private:
   struct Revision {
     KnServiceSpec spec;  ///< spec of the active revision (handler!)
@@ -282,8 +287,6 @@ class KnativeServing {
   void flush_activator(Revision& rev);
   void finalize_rollout(Revision& rev);
   void start_rollout(KnServiceSpec spec, double canary_fraction);
-  static std::string revision_name(const std::string& service,
-                                   int generation);
   void deploy_revision(const std::string& service,
                        const std::string& rev_name,
                        const KnServiceSpec& spec, int replicas);

@@ -60,7 +60,8 @@ TEST_F(MatchmakingTest, HigherPriorityStartsFirst) {
 TEST_F(MatchmakingTest, EqualPriorityStaysFifo) {
   std::vector<std::string> order;
   for (int i = 0; i < 4; ++i) {
-    JobSpec spec = job("j" + std::to_string(i));
+    const std::string idx = std::to_string(i);
+    JobSpec spec = job("j" + idx);
     spec.on_done = [&order, name = spec.name](const JobRecord&) {
       order.push_back(name);
     };

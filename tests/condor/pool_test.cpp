@@ -234,7 +234,8 @@ TEST_F(CondorPoolTest, PoolSaturationQueuesOverflow) {
   // 25 long jobs on 24 cores: one waits for a slot.
   int completed = 0;
   for (int i = 0; i < 25; ++i) {
-    JobSpec spec = compute_job("t" + std::to_string(i), 10.0);
+    const std::string idx = std::to_string(i);
+    JobSpec spec = compute_job("t" + idx, 10.0);
     spec.on_done = [&](const JobRecord&) { ++completed; };
     pool->submit(std::move(spec));
   }

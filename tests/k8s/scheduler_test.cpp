@@ -47,7 +47,8 @@ TEST_F(SchedulerTest, ImageLocalityWinsOverEmptySpread) {
 TEST_F(SchedulerTest, LeastRequestedSpreadsSequentialPods) {
   kube.seed_image_everywhere(container::make_task_image("matmul"));
   for (int i = 0; i < 3; ++i) {
-    kube.api().create_pod(pod("p" + std::to_string(i)));
+    const std::string idx = std::to_string(i);
+    kube.api().create_pod(pod("p" + idx));
     sim.run_until(sim.now() + 5.0);
   }
   std::set<std::string> nodes;

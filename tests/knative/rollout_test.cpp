@@ -133,5 +133,11 @@ TEST_F(RolloutTest, GenerationCountsUp) {
   EXPECT_EQ(invoke_and_wait(), "v3");
 }
 
+TEST(RevisionName, PadsToFiveDigitsAndKeepsWiderGenerations) {
+  EXPECT_EQ(KnativeServing::revision_name("fn", 1), "fn-00001");
+  EXPECT_EQ(KnativeServing::revision_name("fn", 99999), "fn-99999");
+  EXPECT_EQ(KnativeServing::revision_name("fn", 1000000), "fn-1000000");
+}
+
 }  // namespace
 }  // namespace sf::knative

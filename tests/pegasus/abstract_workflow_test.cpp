@@ -11,14 +11,16 @@ AbstractWorkflow chain_workflow(int n) {
   AbstractWorkflow wf("chain");
   wf.declare_file("m0.dat", 490000);
   for (int i = 0; i < n; ++i) {
-    wf.declare_file("b" + std::to_string(i) + ".dat", 490000);
-    wf.declare_file("m" + std::to_string(i + 1) + ".dat", 490000);
+    const std::string idx = std::to_string(i);
+    const std::string next = std::to_string(i + 1);
+    wf.declare_file("b" + idx + ".dat", 490000);
+    wf.declare_file("m" + next + ".dat", 490000);
     AbstractJob job;
-    job.id = "t" + std::to_string(i);
+    job.id = "t" + idx;
     job.transformation = "matmul";
-    job.uses = {{"m" + std::to_string(i) + ".dat", LinkType::kInput},
-                {"b" + std::to_string(i) + ".dat", LinkType::kInput},
-                {"m" + std::to_string(i + 1) + ".dat", LinkType::kOutput}};
+    job.uses = {{"m" + idx + ".dat", LinkType::kInput},
+                {"b" + idx + ".dat", LinkType::kInput},
+                {"m" + next + ".dat", LinkType::kOutput}};
     wf.add_job(std::move(job));
   }
   return wf;

@@ -27,6 +27,7 @@
 #include "knative/kpa.hpp"
 #include "metrics/stream_stats.hpp"
 #include "net/flow_network.hpp"
+#include "pegasus/planner.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/simulation.hpp"
@@ -249,6 +250,72 @@ void BM_CondorNegotiate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_CondorNegotiate)->Arg(64)->Arg(256);
+
+// A saturated pool: 64 one-core claims on 8 workers stay busy while the
+// rest of the jobs wait idle behind them. Every submit, dispatch and
+// negotiation cycle matches the idle queue against the claims; keeping
+// busy claims out of the free-claim index makes that cost independent of
+// how many claims are busy.
+void BM_CondorSaturatedPool(benchmark::State& state) {
+  const int jobs = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    auto cl = cluster::make_uniform_cluster(sim, 9, cluster::NodeSpec{});
+    std::vector<cluster::Node*> workers;
+    for (std::size_t n = 1; n < cl->size(); ++n) {
+      workers.push_back(&cl->node(n));
+    }
+    condor::CondorPool pool(*cl, cl->node(0), workers);
+    int done = 0;
+    for (int i = 0; i < jobs; ++i) {
+      condor::JobSpec spec;
+      spec.name = "j" + std::to_string(i);
+      spec.request_cpus = 1;
+      spec.request_memory = 1e9;
+      spec.executable = [](condor::ExecContext& ctx,
+                           std::function<void(bool)> fin) {
+        ctx.node->run_process(
+            30.0, [fin = std::move(fin)] { fin(true); }, 1.0);
+      };
+      spec.on_done = [&done](const condor::JobRecord&) { ++done; };
+      pool.submit(std::move(spec));
+    }
+    sim.run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * jobs);
+}
+BENCHMARK(BM_CondorSaturatedPool)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// ---- Pegasus planner ------------------------------------------------------
+
+// Planning a 100-wide layered matmul workflow of N tasks, native mode:
+// grouping, dependency edges and the per-output "does it leave the job"
+// test. Linear in file uses, so /10000 should cost ~10x /1000.
+void BM_PlannerLayered(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  constexpr int kWidth = 100;
+  sim::Simulation sim;
+  auto cl = cluster::make_paper_testbed(sim);
+  condor::CondorPool pool(*cl, cl->node(0),
+                          {&cl->node(1), &cl->node(2), &cl->node(3)});
+  pegasus::TransformationCatalog transformations;
+  pegasus::Transformation matmul;
+  matmul.name = "matmul";
+  transformations.add(matmul);
+  storage::ReplicaCatalog replicas;
+  const auto wf = workload::make_layered_matmuls("wf", tasks / kWidth,
+                                                 kWidth, 490000);
+  for (auto _ : state) {
+    pegasus::Planner planner(wf, transformations, replicas, pool, {});
+    benchmark::DoNotOptimize(planner.plan());
+  }
+  state.SetItemsProcessed(state.iterations() * tasks);
+}
+BENCHMARK(BM_PlannerLayered)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 // Trace hot path at volume: the 10^5..10^6-events-per-run regime the
 // scale sweep lives in. Each record carries two attributes, one with a

@@ -8,6 +8,8 @@
 #        scripts/tier1.sh --release [build-dir]  (default: ./build-release)
 #        scripts/tier1.sh --chaos [build-dir]    (default: ./build)
 #        scripts/tier1.sh --fuzz [build-dir]     (default: ./build)
+#        scripts/tier1.sh --scale [build-dir]    (default: ./build)
+#        scripts/tier1.sh --figures [build-dir]  (default: ./build)
 #
 # --tsan builds the engine + tests under ThreadSanitizer and runs the
 # SweepRunner suite — the only code that spawns threads. Keep it green:
@@ -37,66 +39,71 @@
 # open-loop serving + layered-DAG points) at 1 and 4 sweep threads,
 # diffing both against the committed golden transcript. Drift means the
 # open-loop engine or the scaled control-plane stores lost determinism.
+#
+# --figures builds the paper-figure and ablation binaries and runs each
+# at 1 and 4 sweep threads, diffing the concatenated stdout against the
+# committed golden (tests/golden/figures.txt). The figures are part of
+# the behavioural contract: a change that moves one must say why and
+# re-record the golden (each binary's stdout after an `== <name>` line,
+# at SF_SWEEP_THREADS=1).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-if [[ "${1:-}" == "--scale" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/scale_smoke.txt"
+# golden_leg <label> <golden> <run-fn> <target>...: builds the targets in
+# $build_dir, calls `<run-fn> <threads>` at 1 and 4 sweep threads, and
+# diffs the two transcripts against each other and against the golden.
+golden_leg() {
+  local label="$1" golden="$2" run="$3"
+  shift 3
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target scale_sweep -j
+  cmake --build "$build_dir" --target "$@" -j
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/scale_sweep" > "$tmp/serial.txt"
-  SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/scale_sweep" > "$tmp/parallel.txt"
+  "$run" 1 > "$tmp/serial.txt"
+  "$run" 4 > "$tmp/parallel.txt"
   diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "scale smoke: thread counts disagree" >&2; exit 1; }
+    || { echo "$label: thread counts disagree" >&2; exit 1; }
   diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "scale smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "scale smoke: bit-identical at 1 and 4 threads, matches golden"
+    || { echo "$label: drifted from golden transcript" >&2; exit 1; }
+  echo "$label: bit-identical at 1 and 4 threads, matches golden"
   exit 0
-fi
+}
 
-if [[ "${1:-}" == "--fuzz" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/fuzz_smoke.txt"
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target fuzz_sim -j
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/fuzz_sim" > "$tmp/serial.txt"
-  SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/fuzz_sim" > "$tmp/parallel.txt"
-  diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "fuzz smoke: thread counts disagree" >&2; exit 1; }
-  diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "fuzz smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "fuzz smoke: bit-identical at 1 and 4 threads, matches golden"
-  exit 0
-fi
+figures=(fig1_container_reuse fig2_parallel_scaling fig5_tradeoff_ternary
+         fig6_makespan_bars ablate_clustering ablate_coldstart
+         ablate_complex_workflow ablate_concurrency ablate_event_driven
+         ablate_payload ablate_redirection ablate_resizing)
+build_dir="${2:-$repo_root/build}"
+run_scale() {
+  SF_SCALE_SMOKE=1 SF_SWEEP_THREADS=$1 "$build_dir/bench/scale_sweep"
+}
+run_fuzz() { SF_FUZZ_SMOKE=1 SF_SWEEP_THREADS=$1 "$build_dir/bench/fuzz_sim"; }
+run_chaos() {
+  SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=$1 "$build_dir/bench/chaos_sweep"
+}
+run_figures() {
+  local f
+  for f in "${figures[@]}"; do
+    echo "== $f"
+    SF_SWEEP_THREADS=$1 "$build_dir/bench/$f"
+  done
+}
 
-if [[ "${1:-}" == "--chaos" ]]; then
-  build_dir="${2:-$repo_root/build}"
-  golden="$repo_root/tests/golden/chaos_smoke.txt"
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target chaos_sweep -j
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=1 \
-    "$build_dir/bench/chaos_sweep" > "$tmp/serial.txt"
-  SF_CHAOS_SMOKE=1 SF_SWEEP_THREADS=4 \
-    "$build_dir/bench/chaos_sweep" > "$tmp/parallel.txt"
-  diff -u "$tmp/serial.txt" "$tmp/parallel.txt" \
-    || { echo "chaos smoke: thread counts disagree" >&2; exit 1; }
-  diff -u "$golden" "$tmp/serial.txt" \
-    || { echo "chaos smoke: drifted from golden transcript" >&2; exit 1; }
-  echo "chaos smoke: bit-identical at 1 and 4 threads, matches golden"
-  exit 0
-fi
+case "${1:-}" in
+  --scale)
+    golden_leg "scale smoke" "$repo_root/tests/golden/scale_smoke.txt" \
+      run_scale scale_sweep ;;
+  --fuzz)
+    golden_leg "fuzz smoke" "$repo_root/tests/golden/fuzz_smoke.txt" \
+      run_fuzz fuzz_sim ;;
+  --chaos)
+    golden_leg "chaos smoke" "$repo_root/tests/golden/chaos_smoke.txt" \
+      run_chaos chaos_sweep ;;
+  --figures)
+    golden_leg "figures" "$repo_root/tests/golden/figures.txt" \
+      run_figures "${figures[@]}" ;;
+esac
 
 if [[ "${1:-}" == "--asan" ]]; then
   build_dir="${2:-$repo_root/build-asan}"

@@ -32,7 +32,9 @@ CondorPool::CondorPool(cluster::Cluster& cluster, cluster::Node& submit_node,
       staging_(submit_node, submit_node.name() + ".staging"),
       config_(config) {
   for (cluster::Node* w : workers) {
-    startds_.emplace(w->name(), std::make_unique<Startd>(*w));
+    auto sd = std::make_unique<Startd>(*w);
+    worker_startds_.push_back(sd.get());
+    startds_.emplace(w->name(), std::move(sd));
     worker_order_.push_back(w->name());
     // Startd death / restart: on crash the schedd requeues the node's
     // jobs via DAGMan's retry hook; on recovery the negotiator may carve
@@ -99,34 +101,51 @@ bool CondorPool::reachable(const cluster::Node& node) const {
   return !cluster_.network().partitioned(submit_.net_id(), node.net_id());
 }
 
-bool CondorPool::claim_fits(const Claim& claim,
-                            const JobRecord& rec) const {
-  if (claim.busy || claim.cpus < rec.spec.request_cpus ||
-      claim.memory < rec.spec.request_memory) {
+bool CondorPool::claim_fits(const Claim& claim, const JobSpec& spec) const {
+  if (claim.cpus < spec.request_cpus || claim.memory < spec.request_memory) {
     return false;
   }
   // A claim on a partitioned worker is held but unusable: activating it
   // would strand the shadow's stage-in against a dead link.
   if (!reachable(claim.startd->node())) return false;
-  return !rec.spec.requirements || rec.spec.requirements(*claim.startd);
+  return !spec.requirements || spec.requirements(*claim.startd);
+}
+
+void CondorPool::set_busy(ClaimId id, Claim& claim, bool busy) {
+  claim.busy = busy;
+  if (busy) {
+    free_claims_.erase(id);
+  } else {
+    free_claims_.emplace(id, &claim);
+  }
+}
+
+CondorPool::ClaimId CondorPool::first_fit(const JobSpec& spec,
+                                          MatchPass& pass) {
+  ClaimId* resume =
+      spec.requirements
+          ? nullptr
+          : &pass.resume[{spec.request_cpus, spec.request_memory}];
+  auto it = resume == nullptr ? free_claims_.begin()
+                              : free_claims_.upper_bound(*resume);
+  for (; it != free_claims_.end(); ++it) {
+    Claim& claim = *it->second;
+    if (claim.reserved_stamp != pass.stamp && claim_fits(claim, spec)) {
+      claim.reserved_stamp = pass.stamp;
+      if (resume != nullptr) *resume = it->first;
+      return it->first;
+    }
+  }
+  if (resume != nullptr) *resume = kExhausted;
+  return kNoClaim;
 }
 
 bool CondorPool::has_unmatched_idle() {
   // Greedy matching of idle jobs (priority order) against free claims,
-  // stopping at the first job no free claim fits. Reservation uses the
-  // per-claim stamp — no set insertions on this per-submit path.
-  ++match_stamp_;
+  // stopping at the first job no free claim fits.
+  MatchPass pass = begin_pass();
   for (const JobId jid : idle_queue_) {
-    const JobRecord& rec = jobs_.at(jid);
-    bool found = false;
-    for (auto& [cid, claim] : claims_) {
-      if (claim.reserved_stamp != match_stamp_ && claim_fits(claim, rec)) {
-        claim.reserved_stamp = match_stamp_;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return true;
+    if (first_fit(jobs_.at(jid).spec, pass) == kNoClaim) return true;
   }
   return false;
 }
@@ -149,22 +168,13 @@ void CondorPool::negotiate() {
   // first fill when slot weights are equal).
   // For each unmatched idle job (priority order), carve a claim on the
   // first machine that fits its shape and satisfies its requirements.
-  ++match_stamp_;
+  MatchPass pass = begin_pass();
   std::size_t cursor = 0;
   for (const JobId jid : idle_queue_) {
     const JobRecord& rec = jobs_.at(jid);
-    bool has_claim = false;
-    for (auto& [cid, claim] : claims_) {
-      if (claim.reserved_stamp != match_stamp_ && claim_fits(claim, rec)) {
-        claim.reserved_stamp = match_stamp_;
-        has_claim = true;
-        break;
-      }
-    }
-    if (has_claim) continue;
-    for (std::size_t i = 0; i < worker_order_.size(); ++i) {
-      Startd& sd = *startds_.at(
-          worker_order_[(cursor + i) % worker_order_.size()]);
+    if (first_fit(rec.spec, pass) != kNoClaim) continue;
+    for (std::size_t i = 0; i < worker_startds_.size(); ++i) {
+      Startd& sd = *worker_startds_[(cursor + i) % worker_startds_.size()];
       if (!sd.node().up()) continue;  // dead startds advertise nothing
       // Partitioned startds can't deliver their ClassAd to the collector.
       if (!reachable(sd.node())) continue;
@@ -178,10 +188,11 @@ void CondorPool::negotiate() {
         claim.slot = *slot;
         claim.cpus = rec.spec.request_cpus;
         claim.memory = rec.spec.request_memory;
-        claim.reserved_stamp = match_stamp_;
+        claim.reserved_stamp = pass.stamp;
         const ClaimId cid = next_claim_++;
-        claims_.emplace(cid, std::move(claim));
-        cursor = (cursor + i + 1) % worker_order_.size();
+        set_busy(cid, claims_.emplace(cid, std::move(claim)).first->second,
+                 false);
+        cursor = (cursor + i + 1) % worker_startds_.size();
         break;
       }
     }
@@ -200,17 +211,16 @@ void CondorPool::pump_dispatch() {
   }
   // Highest-priority idle job that has a free fitting claim (FIFO ties).
   JobId jid = kNoJob;
-  ClaimId chosen = 0;
-  for (const JobId candidate : idle_queue_) {
-    const JobRecord& rec = jobs_.at(candidate);
-    for (auto& [cid, claim] : claims_) {
-      if (claim_fits(claim, rec)) {
+  ClaimId chosen = kNoClaim;
+  if (!free_claims_.empty()) {
+    MatchPass pass = begin_pass();
+    for (const JobId candidate : idle_queue_) {
+      chosen = first_fit(jobs_.at(candidate).spec, pass);
+      if (chosen != kNoClaim) {
         jid = candidate;
-        chosen = cid;
         break;
       }
     }
-    if (jid != kNoJob) break;
   }
   if (jid == kNoJob) {
     kick_negotiator();
@@ -218,7 +228,7 @@ void CondorPool::pump_dispatch() {
   }
   std::erase(idle_queue_, jid);
   Claim& cl = claims_.at(chosen);
-  cl.busy = true;
+  set_busy(chosen, cl, true);
   cl.job = jid;
   jobs_.at(jid).state = JobState::kRunning;
   ++running_;
@@ -249,7 +259,7 @@ void CondorPool::start_job(JobId id, ClaimId claim_id, std::uint64_t epoch) {
   // the attempt out from under these callbacks and erases the claim.
   sim().call_in(config_.job_setup_overhead_s, [this, id, claim_id, epoch] {
     if (!attempt_live(id, epoch)) return;
-    Startd& sd = *startds_.at(claims_.at(claim_id).node_name);
+    Startd& sd = *claims_.at(claim_id).startd;
     // Stage inputs sequentially, as pegasus-lite does. The chain body
     // holds only a weak self-reference — each pending transfer carries
     // the strong one — so the function doesn't keep itself alive forever
@@ -288,7 +298,7 @@ void CondorPool::run_executable(JobId id, ClaimId claim_id,
                                 std::uint64_t epoch) {
   JobRecord& rec = jobs_.at(id);
   rec.start_time = sim().now();
-  Startd& sd = *startds_.at(claims_.at(claim_id).node_name);
+  Startd& sd = *claims_.at(claim_id).startd;
   auto ctx = std::make_shared<ExecContext>();
   ctx->sim = &sim();
   ctx->node = &sd.node();
@@ -306,7 +316,7 @@ void CondorPool::run_executable(JobId id, ClaimId claim_id,
     }
     // Stage outputs back to the submit node sequentially (weak
     // self-reference: see the stage-in chain).
-    Startd& sd2 = *startds_.at(claims_.at(claim_id).node_name);
+    Startd& sd2 = *claims_.at(claim_id).startd;
     auto stage_next = std::make_shared<std::function<void(std::size_t)>>();
     *stage_next = [this, id, claim_id, epoch, &sd2,
                    weak = std::weak_ptr<std::function<void(std::size_t)>>(
@@ -349,7 +359,7 @@ void CondorPool::finish_job(JobId id, ClaimId claim_id, std::uint64_t epoch,
                        {{"job", rec.spec.name}});
   auto it = claims_.find(claim_id);
   if (it != claims_.end()) {
-    it->second.busy = false;
+    set_busy(claim_id, it->second, false);
     it->second.job = kNoJob;
     ++it->second.idle_epoch;
     arm_claim_timeout(claim_id);
@@ -397,6 +407,7 @@ void CondorPool::handle_node_crash(const std::string& node_name) {
     if (test_keep_claims_on_crash_) {
       ++it;  // planted bug: leak the dead node's claims (see pool.hpp)
     } else {
+      free_claims_.erase(it->first);
       it = claims_.erase(it);
     }
   }
@@ -463,7 +474,15 @@ std::vector<std::string> CondorPool::self_check() const {
   std::map<std::string, double> node_cpus;
   std::map<std::string, double> node_memory;
   std::map<std::string, std::size_t> node_claims;
+  std::size_t idle_claims = 0;
   for (const auto& [cid, claim] : claims_) {
+    const auto fit = free_claims_.find(cid);
+    const bool indexed = fit != free_claims_.end() && fit->second == &claim;
+    if (indexed == claim.busy) {
+      out.push_back("free-claim index disagrees with claim " +
+                    std::to_string(cid) + (claim.busy ? " (busy)" : " (idle)"));
+    }
+    if (!claim.busy) ++idle_claims;
     if (claim.startd == nullptr || !claim.startd->node().up()) {
       out.push_back("claim " + std::to_string(cid) + " on down node " +
                     claim.node_name);
@@ -486,6 +505,11 @@ std::vector<std::string> CondorPool::self_check() const {
       out.push_back("idle claim " + std::to_string(cid) +
                     " still references job " + std::to_string(claim.job));
     }
+  }
+  if (free_claims_.size() != idle_claims) {
+    out.push_back("free-claim index holds " +
+                  std::to_string(free_claims_.size()) + " claims but " +
+                  std::to_string(idle_claims) + " are idle");
   }
   for (const auto& [name, sd] : startds_) {
     const cluster::NodeSpec& spec = sd->node().spec();
@@ -533,7 +557,8 @@ void CondorPool::arm_claim_timeout(ClaimId claim_id) {
         jt->second.idle_epoch != epoch) {
       return;  // claim was reused or already gone
     }
-    startds_.at(jt->second.node_name)->release_slot(jt->second.slot);
+    jt->second.startd->release_slot(jt->second.slot);
+    free_claims_.erase(claim_id);
     claims_.erase(jt);
   });
 }

@@ -122,8 +122,27 @@ class CondorPool {
   /// True when at least one idle job cannot be greedily matched (priority
   /// order) against the free claims; early-exits on the first miss.
   [[nodiscard]] bool has_unmatched_idle();
+  /// One greedy matching pass over the idle queue. `stamp` is fresh, so no
+  /// claim starts reserved. For requirement-free jobs, `resume` remembers
+  /// per (request_cpus, request_memory) the free ClaimId the last search of
+  /// that shape stopped at (kExhausted once it found none): every free
+  /// claim up to it is reserved in this pass or does not fit the shape,
+  /// because neither reservations nor fits are undone within a pass.
+  struct MatchPass {
+    std::uint64_t stamp = 0;
+    std::map<std::pair<double, double>, ClaimId> resume;
+  };
+  static constexpr ClaimId kNoClaim = 0;
+  static constexpr ClaimId kExhausted = ~ClaimId{0};
+  [[nodiscard]] MatchPass begin_pass() { return {++match_stamp_, {}}; }
+  /// The lowest-id free claim that `spec` fits and `pass` has not reserved,
+  /// now reserved; kNoClaim when there is none. Jobs with `requirements`
+  /// scan every free claim; the rest resume at their shape's cursor.
+  ClaimId first_fit(const JobSpec& spec, MatchPass& pass);
   [[nodiscard]] bool claim_fits(const Claim& claim,
-                                const JobRecord& rec) const;
+                                const JobSpec& spec) const;
+  /// Marks a claim busy or free, keeping free_claims_ in step.
+  void set_busy(ClaimId id, Claim& claim, bool busy);
   /// True while the schedd (submit node) can reach `node` over the flow
   /// network. A rack cut makes a healthy startd unmatchable and its idle
   /// claims unusable; the negotiator re-polls via kick_negotiator, so the
@@ -138,6 +157,7 @@ class CondorPool {
   CondorConfig config_;
   std::map<std::string, std::unique_ptr<Startd>> startds_;
   std::vector<std::string> worker_order_;  // negotiation fill order
+  std::vector<Startd*> worker_startds_;    // startds in worker_order_
 
   std::map<JobId, JobRecord> jobs_;
   /// Idle jobs, maintained in dispatch order (priority desc, FIFO within
@@ -145,6 +165,10 @@ class CondorPool {
   /// every negotiation/dispatch pass.
   std::vector<JobId> idle_queue_;
   std::map<ClaimId, Claim> claims_;
+  /// Free claims, keyed (and so walked) in ClaimId order. Busy claims are
+  /// never here: when every claim is busy, pump_dispatch() returns at once
+  /// and has_unmatched_idle() fails its first job without a scan.
+  std::map<ClaimId, Claim*> free_claims_;
   std::uint64_t match_stamp_ = 0;
   JobId next_job_ = 1;
   ClaimId next_claim_ = 1;

@@ -140,20 +140,6 @@ JobMode Planner::mode_of(const AbstractJob& job) const {
                                              : it->second;
 }
 
-condor::JobSpec Planner::base_spec(const AbstractJob& job) const {
-  const Transformation& t = transformations_.get(job.transformation);
-  condor::JobSpec spec;
-  spec.name = job.id;
-  spec.request_cpus = 1;
-  spec.request_memory = t.memory_bytes;
-  for (const auto& lfn : job.inputs()) {
-    spec.inputs.push_back({lfn, workflow_.file_bytes(lfn)});
-  }
-  spec.outputs = job.outputs();
-  spec.submit_volume = &pool_.submit_staging();
-  return spec;
-}
-
 condor::JobExecutable Planner::make_native(const AbstractJob& job,
                                            const Transformation& t) const {
   std::vector<std::string> inputs = job.inputs();
@@ -371,9 +357,11 @@ Plan Planner::plan() {
   // --- Vertical clustering: group consecutive same-mode chain segments.
   std::map<std::string, std::vector<std::string>> children;
   std::map<std::string, std::vector<std::string>> parents;
+  std::map<std::string, std::vector<std::string>> consumers;  // lfn → jobs
   for (const auto& j : jobs) {
     parents[j.id] = workflow_.parents_of(j.id);
     for (const auto& p : parents[j.id]) children[p].push_back(j.id);
+    for (const auto& lfn : j.inputs()) consumers[lfn].push_back(j.id);
   }
   auto chain_next = [&](const std::string& id) -> std::string {
     const auto& ch = children[id];
@@ -416,8 +404,6 @@ Plan Planner::plan() {
   }
 
   // --- Stage-in first (so compute nodes can name it as a parent).
-  const auto initial = workflow_.initial_inputs();
-  const std::set<std::string> initial_set(initial.begin(), initial.end());
   add_stage_in(plan);
   const std::string stage_in_name =
       plan.stage_in_jobs > 0 ? "stage_in_" + workflow_.name() : "";
@@ -456,16 +442,14 @@ Plan Planner::plan() {
       }
       for (const auto& lfn : aj.outputs()) {
         // Outputs leave the job unless consumed exclusively inside it.
-        bool internal_only = true;
-        bool consumed = false;
-        for (const auto& other : jobs) {
-          const auto ins = other.inputs();
-          if (std::find(ins.begin(), ins.end(), lfn) != ins.end()) {
-            consumed = true;
-            if (!member_set.contains(other.id)) internal_only = false;
-          }
-        }
-        if (!consumed || !internal_only) external_outputs.insert(lfn);
+        const auto it = consumers.find(lfn);
+        const bool internal_only =
+            it != consumers.end() &&
+            std::all_of(it->second.begin(), it->second.end(),
+                        [&](const std::string& c) {
+                          return member_set.contains(c);
+                        });
+        if (!internal_only) external_outputs.insert(lfn);
       }
 
       switch (mode) {

@@ -102,7 +102,6 @@ class Planner {
 
  private:
   [[nodiscard]] JobMode mode_of(const AbstractJob& job) const;
-  [[nodiscard]] condor::JobSpec base_spec(const AbstractJob& job) const;
   [[nodiscard]] condor::JobExecutable make_native(
       const AbstractJob& job, const Transformation& t) const;
   [[nodiscard]] condor::JobExecutable make_container(

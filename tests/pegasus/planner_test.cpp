@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "container/image.hpp"
 #include "sim/simulation.hpp"
 
@@ -214,6 +216,39 @@ TEST_F(PlannerTest, ClusteringMergesChains) {
   condor::DagMan dag(pool);
   EXPECT_TRUE(run_plan(plan, dag));
   EXPECT_TRUE(pool.submit_staging().contains("wf.m6"));
+}
+
+TEST_F(PlannerTest, ClusteredGroupShipsOnlyOutputsThatLeaveIt) {
+  // Chain t0 → t1 → t2 → t3 with cluster_size 3: groups {t0, t1, t2} and
+  // {t3}. t1 also writes a log nobody reads. The group ships m3 (read by
+  // t3, outside it) and the log (read by nobody), but not m1 or m2, which
+  // only its own members read.
+  const AbstractWorkflow base = chain(4);
+  AbstractWorkflow wf("wf");
+  for (const AbstractJob& j : base.jobs()) {
+    for (const Use& use : j.uses) {
+      wf.declare_file(use.lfn, base.file_bytes(use.lfn));
+    }
+  }
+  wf.declare_file("wf.log1", 1000);
+  for (AbstractJob j : base.jobs()) {
+    if (j.id == "wf.t1") j.uses.push_back({"wf.log1", LinkType::kOutput});
+    wf.add_job(std::move(j));
+  }
+  PlannerOptions opts;
+  opts.cluster_size = 3;
+  Planner planner(wf, tc, rc, pool, opts);
+  const Plan plan = planner.plan();
+  EXPECT_EQ(plan.compute_jobs, 2u);
+  std::map<std::string, std::vector<std::string>> outputs;
+  for (const auto& node : plan.nodes) outputs[node.name] = node.job.outputs;
+  EXPECT_EQ(outputs.at("cluster_wf.t0_wf.t2"),
+            (std::vector<std::string>{"wf.log1", "wf.m3"}));
+  EXPECT_EQ(outputs.at("wf.t3"), (std::vector<std::string>{"wf.m4"}));
+  condor::DagMan dag(pool);
+  EXPECT_TRUE(run_plan(plan, dag));
+  EXPECT_TRUE(pool.submit_staging().contains("wf.log1"));
+  EXPECT_FALSE(pool.submit_staging().contains("wf.m2"));
 }
 
 TEST_F(PlannerTest, ClusteringReducesMakespan) {

@@ -54,9 +54,11 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(10000);
 
 // Cancellation-heavy trajectory: schedule a window of events, then cancel
-// every other one before popping the survivors. Exercises the eager-removal
-// path (list unlink + bucket retirement) that tombstone-based queues pay
-// for at pop time instead.
+// every other one before popping the survivors. Exercises cancel()'s
+// eager callback release and the tombstones it leaves in the heap, which
+// pops skip and a rebuild sweeps once they outnumber the live events.
+// Every event lands on one of 97 instants, so this and ScheduleAndPop
+// are the tie-heavy extreme, not the shape of a simulation run.
 void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<sim::EventId> ids(n);
@@ -87,8 +89,8 @@ void BM_EventQueueMixedSchedule(benchmark::State& state) {
       auto fired = q.pop();
       benchmark::DoNotOptimize(fired.id);
       q.schedule(horizon, [] {});
-      // Every fourth event lands on an existing instant to mix bucket
-      // reuse with fresh timestamps.
+      // Every fourth event lands on an existing instant, mixing
+      // same-instant ties with fresh timestamps.
       horizon += (i % 4 == 0) ? 0.0 : 1.0;
     }
     while (!q.empty()) benchmark::DoNotOptimize(q.pop().id);

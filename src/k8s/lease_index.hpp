@@ -10,10 +10,9 @@ namespace sf::k8s {
 /// Calendarized node-lease deadline index.
 ///
 /// Heartbeats are cohort-shaped: every node renewed by the same wheel tick
-/// shares one lease timestamp, so — exactly like the EventQueue's
-/// time-bucketed heap — the priority structure orders *timestamps*, not
-/// nodes. One bucket per distinct lease time holds an intrusive
-/// doubly-linked list of node slots; a binary min-heap (with back-pointers
+/// shares one lease timestamp, so the priority structure orders
+/// *timestamps*, not nodes. One bucket per distinct lease time holds an
+/// intrusive doubly-linked list of node slots; a binary min-heap (with back-pointers
 /// for O(log n) removal of arbitrary buckets) orders bucket times; a hash
 /// keyed by the timestamp's bit pattern finds the bucket a renewal moves
 /// into. Renewing a cohort of 10k nodes into the current tick's bucket is

@@ -102,8 +102,7 @@ void Broker::fanout(const CloudEvent& event,
 
 void Broker::deliver(Trigger trigger, const CloudEvent& event,
                      int attempt, std::function<void(bool)> on_done) {
-  net::HttpRequest req;
-  req.path = "/";
+  net::HttpRequest req;  // path defaults to "/"
   req.headers["ce-type"] = event.type;
   req.body = event;
   req.body_bytes = event.data_bytes + 512;

@@ -107,6 +107,38 @@ TEST_F(EventDrivenTest, RunBeforeSetupThrows) {
                std::logic_error);
 }
 
+TEST_F(EventDrivenTest, SetupCarriesEveryProvisioningSetting) {
+  // The task service gets the whole policy, as a transformation registered
+  // through ServerlessIntegration does — deadlines, ejection and
+  // admission included.
+  PaperTestbed fresh(7);
+  knative::Broker fresh_broker(fresh.serving(), fresh.cluster().node(0));
+  EventDrivenRunner fresh_runner(fresh.serving(), fresh_broker,
+                                 fresh.calibration());
+  ProvisioningPolicy policy = ProvisioningPolicy::prestaged(2);
+  policy.max_scale = 6;
+  policy.container_concurrency = 1;
+  policy.request_timeout_s = 45.0;
+  policy.route_timeout_s = 12.0;
+  policy.outlier.enabled = true;
+  policy.outlier.consecutive_gateway = 2;
+  policy.admission.fill_rate_hz = 50.0;
+  fresh_runner.setup(policy);
+
+  const auto* ann =
+      fresh.serving().service_annotations(EventDrivenRunner::kTaskService);
+  ASSERT_NE(ann, nullptr);
+  EXPECT_EQ(ann->min_scale, 2);
+  EXPECT_EQ(ann->initial_scale, 2);
+  EXPECT_EQ(ann->max_scale, 6);
+  EXPECT_EQ(ann->container_concurrency, 1);
+  EXPECT_DOUBLE_EQ(ann->request_timeout_s, 45.0);
+  EXPECT_DOUBLE_EQ(ann->route_timeout_s, 12.0);
+  EXPECT_TRUE(ann->outlier.enabled);
+  EXPECT_EQ(ann->outlier.consecutive_gateway, 2);
+  EXPECT_DOUBLE_EQ(ann->admission.fill_rate_hz, 50.0);
+}
+
 TEST_F(EventDrivenTest, ServiceLossFailsTheRun) {
   const auto wf = workload::make_matmul_chain(
       "e", 6, tb.calibration().matrix_bytes);

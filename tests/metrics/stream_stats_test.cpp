@@ -6,24 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 
-// Global-new instrumentation for the zero-alloc proof below. Counting is
-// process-wide; the test only looks at the *delta* across the hot loop.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Global-new instrumentation for the zero-alloc proof below (defined in
+// alloc_counter.cpp). Counting is process-wide; the test only looks at the
+// *delta* across the hot loop.
+std::uint64_t global_allocation_count();
 
 namespace sf::stats {
 namespace {
@@ -161,13 +149,13 @@ TEST(StatsStore, HotPathAllocatesNothing) {
   store.add(ok, 1);               // touch everything once before measuring
   store.record_seconds(lat, 0.01);
   rolling.record_seconds(0.01, 0.0);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = global_allocation_count();
   for (int i = 0; i < 10000; ++i) {
     store.add(ok, 1);
     store.record_seconds(lat, 0.001 * i);
     rolling.record_seconds(0.001 * i, 0.5 * i);  // rotates many times
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = global_allocation_count();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(store.value(ok), 10001u);
 }

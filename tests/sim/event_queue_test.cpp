@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace sf::sim {
@@ -61,6 +62,17 @@ TEST(EventQueue, CancelTwiceReturnsFalse) {
 TEST(EventQueue, CancelUnknownIdReturnsFalse) {
   EventQueue q;
   EXPECT_FALSE(q.cancel(12345));
+  // kNoEvent is the "no timer armed" handle. Cancelling it must not match
+  // a free slot, even slot 0 after its event fired.
+  int fired = 0;
+  q.schedule(1.0, [] {});
+  q.schedule(2.0, [&] { ++fired; });
+  q.pop();  // frees slot 0
+  EXPECT_FALSE(q.cancel(kNoEvent));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+  q.pop().fn();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(EventQueue, CancelledEventSkippedAtTop) {
@@ -74,6 +86,24 @@ TEST(EventQueue, CancelledEventSkippedAtTop) {
   EXPECT_DOUBLE_EQ(fired.time, 2.0);
   fired.fn();
   EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+TEST(EventQueue, CancelReleasesCapturedStateImmediately) {
+  // cancel() destroys the callback at once, not when the event's time
+  // comes round: captured resources (pods, claims, buffers) are freed the
+  // moment their timer is withdrawn.
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const EventId top = q.schedule(1.0, [token] {});
+  q.schedule(1.0, [token] {});  // same-instant sibling stays pending
+  const EventId later = q.schedule(9.0, [token] {});
+  q.schedule(5.0, [] {});
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_TRUE(q.cancel(later));  // not at the top of the queue
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_TRUE(q.cancel(top));  // at the top, with a sibling at its instant
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(EventQueue, SizeExcludesCancelled) {

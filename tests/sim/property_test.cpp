@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -20,61 +21,93 @@ class EventQueueModelTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EventQueueModelTest, MatchesMultimapReference) {
   Rng rng(GetParam());
   EventQueue queue;
-  // Reference: (time, id) → alive, ordered exactly like the queue.
-  std::multimap<std::pair<SimTime, EventId>, bool> model;
+  // Reference: the live events, ordered exactly like the queue (time, then
+  // id); `time_of` maps a live id back to its key.
+  std::set<std::pair<SimTime, EventId>> model;
+  std::map<EventId, SimTime> time_of;
   std::vector<EventId> live_ids;
+  // Fired or cancelled ids. Their slots are reused by later schedules, so
+  // cancelling one must miss without touching the slot's new occupant.
+  std::vector<EventId> dead_ids;
 
-  std::vector<EventId> fired;
-  std::vector<std::pair<SimTime, EventId>> expected;
+  const auto schedule = [&](SimTime t) {
+    const EventId id = queue.schedule(t, [] {});
+    model.emplace(t, id);
+    time_of.emplace(id, t);
+    live_ids.push_back(id);
+  };
+  const auto cancel_live = [&](std::size_t pick) {
+    const EventId id = live_ids[pick];
+    EXPECT_TRUE(queue.cancel(id));
+    model.erase({time_of.at(id), id});
+    time_of.erase(id);
+    live_ids[pick] = live_ids.back();
+    live_ids.pop_back();
+    dead_ids.push_back(id);
+  };
+  const auto cancel_stale = [&] {
+    EXPECT_FALSE(queue.cancel(dead_ids[rng.index(dead_ids.size())]));
+  };
+  const auto pop_and_check = [&] {
+    ASSERT_FALSE(model.empty());
+    const auto event = queue.pop();
+    const auto [t, id] = *model.begin();
+    EXPECT_EQ(event.time, t);
+    EXPECT_EQ(event.id, id);
+    model.erase(model.begin());
+    time_of.erase(id);
+    std::erase(live_ids, id);
+    dead_ids.push_back(id);
+  };
+  // size() and next_time() must always describe the live set exactly.
+  const auto check_top = [&] {
+    EXPECT_EQ(queue.size(), model.size());
+    EXPECT_EQ(queue.next_time(),
+              model.empty() ? kTimeInfinity : model.begin()->first);
+  };
 
+  // Phase 1: a random mix. Half the times fall on 8 quantized instants, so
+  // same-instant ties meet cancels and pops.
   for (int op = 0; op < 2000; ++op) {
     const double p = rng.uniform(0, 1);
     if (p < 0.6 || live_ids.empty()) {
-      const SimTime t = rng.uniform(0, 100);
-      EventId captured = 0;
-      const EventId id = queue.schedule(t, [] {});
-      captured = id;
-      model.emplace(std::make_pair(t, captured), true);
-      live_ids.push_back(captured);
-    } else if (p < 0.8) {
-      // Cancel a random live event.
-      const std::size_t pick = rng.index(live_ids.size());
-      const EventId id = live_ids[pick];
-      const bool was_live = queue.cancel(id);
-      bool model_live = false;
-      for (auto& [key, alive] : model) {
-        if (key.second == id && alive) {
-          alive = false;
-          model_live = true;
-          break;
-        }
-      }
-      EXPECT_EQ(was_live, model_live);
-      live_ids.erase(live_ids.begin() + pick);
-    } else if (!queue.empty()) {
-      const auto event = queue.pop();
-      fired.push_back(event.id);
-      // Reference pop: earliest alive entry.
-      auto it = model.begin();
-      while (it != model.end() && !it->second) ++it;
-      ASSERT_NE(it, model.end());
-      expected.push_back(it->first);
-      EXPECT_EQ(event.time, it->first.first);
-      EXPECT_EQ(event.id, it->first.second);
-      model.erase(model.begin(), std::next(it));
-      std::erase(live_ids, event.id);
+      schedule(rng.chance(0.5) ? static_cast<SimTime>(rng.index(8))
+                               : rng.uniform(0, 100));
+    } else if (p < 0.75) {
+      cancel_live(rng.index(live_ids.size()));
+    } else if (p < 0.8 && !dead_ids.empty()) {
+      cancel_stale();
+    } else if (!model.empty()) {
+      pop_and_check();
     }
+    check_top();
   }
+
+  // Phase 2: many far-future events (timers that rarely fire), most of
+  // them cancelled, interleaved with pops and stale cancels.
+  for (int i = 0; i < 3000; ++i) {
+    schedule(1000 + (rng.chance(0.5) ? static_cast<SimTime>(rng.index(8))
+                                     : rng.uniform(0, 100)));
+  }
+  check_top();
+  while (live_ids.size() > 200) {
+    const double p = rng.uniform(0, 1);
+    if (p < 0.9) {
+      cancel_live(rng.index(live_ids.size()));
+    } else if (p < 0.95) {
+      cancel_stale();
+    } else {
+      pop_and_check();
+    }
+    check_top();
+  }
+
   // Drain both; order must agree to the end.
   while (!queue.empty()) {
-    const auto event = queue.pop();
-    auto it = model.begin();
-    while (it != model.end() && !it->second) ++it;
-    ASSERT_NE(it, model.end());
-    EXPECT_EQ(event.id, it->first.second);
-    model.erase(model.begin(), std::next(it));
+    pop_and_check();
+    check_top();
   }
-  for (const auto& [key, alive] : model) EXPECT_FALSE(alive);
+  EXPECT_TRUE(model.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueModelTest,

@@ -18,6 +18,7 @@
 
 #include "cluster/cluster.hpp"
 #include "condor/pool.hpp"
+#include "container/image.hpp"
 #include "container/registry.hpp"
 #include "core/testbed.hpp"
 #include "k8s/api_server.hpp"
@@ -522,6 +523,99 @@ void BM_DeploymentReconcile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_DeploymentReconcile)->Arg(1024)->Arg(4096)->Arg(10240);
+
+// ---- Serving control plane at scale --------------------------------------
+
+// Endpoints churn: `pods` ready pods behind one service; each iteration
+// sends four pod events for one of them (unready, no-op, ready, no-op) and
+// drains. A rescanning endpoints controller walks every pod per event; the
+// ready-endpoint index rebuilds the list only for the two events that
+// change it and skips the two no-ops.
+void BM_EndpointsChurn(benchmark::State& state) {
+  const int pods = static_cast<int>(state.range(0));
+  sim::Simulation sim;
+  k8s::ApiServer api{sim};
+  k8s::EndpointsController ctl{api};
+  api.create_service(k8s::Service{0, "fn", {{"app", "fn"}}});
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(pods));
+  for (int i = 0; i < pods; ++i) {
+    const std::string idx = std::to_string(i);
+    k8s::Pod p;
+    p.name = "fn-" + idx;
+    p.labels = {{"app", "fn"}};
+    p.container.image = "img:latest";
+    names.push_back(p.name);
+    api.create_pod(std::move(p));
+    const std::string node = "node" + std::to_string(i % 64);
+    api.mutate_pod(names.back(), [i, &node](k8s::Pod& mp) {
+      mp.node_name = node;
+      mp.phase = k8s::PodPhase::kRunning;
+      mp.ready = true;
+      mp.port = static_cast<net::Port>(10000 + i);
+    });
+  }
+  sim.run();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::string& name = names[i];
+    api.mutate_pod(name, [](k8s::Pod& p) { p.ready = false; });
+    api.mutate_pod(name, [](k8s::Pod&) {});
+    api.mutate_pod(name, [](k8s::Pod& p) { p.ready = true; });
+    api.mutate_pod(name, [](k8s::Pod&) {});
+    sim.run();
+    i = (i + 1) % names.size();
+  }
+  benchmark::DoNotOptimize(ctl.refreshes());
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_EndpointsChurn)->Arg(1024)->Arg(4096)->Arg(10240);
+
+// Scheduling over a wide cluster with image locality wired through
+// KubeCluster: the image is pre-staged on every 16th worker. Each
+// iteration creates 32 pods, drains (bind, pull where needed, start,
+// ready), then deletes them and drains again. The per-node cost of a
+// scheduling attempt dominates: a name-keyed scan pays a hash, a call and
+// a manifest copy per node; the slot-dense scan pays a few loads.
+void BM_KubeSchedule(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  constexpr int kPods = 32;
+  sim::Simulation sim;
+  auto topo = workload::make_scaled_topology(sim, nodes, 8);
+  container::Registry hub{topo.cluster->node(0)};
+  k8s::KubeCluster kube{*topo.cluster, hub, topo.workers};
+  const container::Image image = container::make_task_image("fn");
+  hub.push(image);
+  for (std::size_t w = 0; w < topo.workers.size(); w += 16) {
+    kube.worker(topo.workers[w]->name()).cache->seed_image(image);
+  }
+  int next = 0;
+  for (auto _ : state) {
+    const int first = next;
+    for (int i = 0; i < kPods; ++i) {
+      const std::string idx = std::to_string(next++);
+      k8s::Pod p;
+      p.name = "pod-" + idx;
+      p.container.image = "fn:latest";
+      p.container.memory_bytes = 256e6;
+      p.memory_request = 256e6;
+      kube.api().create_pod(std::move(p));
+    }
+    sim.run();
+    for (int i = first; i < next; ++i) {
+      const std::string idx = std::to_string(i);
+      kube.api().delete_pod("pod-" + idx);
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(kube.scheduler().binds());
+  state.SetItemsProcessed(state.iterations() * kPods);
+}
+BENCHMARK(BM_KubeSchedule)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(10240)
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Data-plane resilience hot paths -------------------------------------
 

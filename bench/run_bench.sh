@@ -16,19 +16,16 @@
 # bench/record_engine.py); whether to commit the new numbers is a git diff.
 #
 # Usage: bench/run_bench.sh [build-dir] [repetitions]   (./build, 5; reps >= 2)
+# The build directory must be configured (cmake -B build -S .).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 reps="${2:-5}"
 
-for bin in micro_engine chaos_sweep scale_sweep; do
-  if [[ ! -x "$build_dir/bench/$bin" ]]; then
-    echo "error: $build_dir/bench/$bin not built." >&2
-    echo "Build it first: cmake -B build -S . && cmake --build build -j" >&2
-    exit 1
-  fi
-done
+# Build first, so a binary older than the source is never measured.
+cmake --build "$build_dir" --target micro_engine chaos_sweep scale_sweep \
+  -j"$(nproc)"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -57,7 +57,7 @@ golden_leg() {
   local label="$1" golden="$2" run="$3"
   shift 3
   cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target "$@" -j
+  cmake --build "$build_dir" --target "$@" -j"$(nproc)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   "$run" 1 > "$tmp/serial.txt"
@@ -111,7 +111,7 @@ if [[ "${1:-}" == "--asan" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -g" \
     -DSERVERFLOW_BUILD_BENCH=OFF \
     -DSERVERFLOW_BUILD_EXAMPLES=OFF
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j"$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   exit 0
 fi
@@ -119,7 +119,7 @@ fi
 if [[ "${1:-}" == "--release" ]]; then
   build_dir="${2:-$repo_root/build-release}"
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j"$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   exit 0
 fi
@@ -130,7 +130,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g" \
     -DSERVERFLOW_BUILD_BENCH=OFF \
     -DSERVERFLOW_BUILD_EXAMPLES=OFF
-  cmake --build "$build_dir" --target sim_test -j
+  cmake --build "$build_dir" --target sim_test -j"$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -R 'SweepRunnerTest' \
     -j "$(nproc)"
   exit 0
@@ -138,5 +138,5 @@ fi
 
 build_dir="${1:-$repo_root/build}"
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j"$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"

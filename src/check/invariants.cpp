@@ -156,10 +156,13 @@ void InvariantChecker::register_builtins() {
     return examined;
   });
 
-  // -- k8s: endpoints lists never contain the same pod twice, and a ------
-  // -- pod marked ready is a running pod. --------------------------------
+  // -- k8s: endpoints lists never contain the same pod twice, and the ----
+  // -- API server's incremental indexes agree with full rescans. ---------
   add_counted_invariant("k8s.endpoints",
                         [this](std::vector<std::string>& out) -> std::uint64_t {
+    for (std::string& m : tb_.kube().api().self_check()) {
+      out.push_back(std::move(m));
+    }
     std::uint64_t examined = 0;
     tb_.kube().api().for_each_service([&](const k8s::Service& svc) {
       const auto* eps = tb_.kube().api().get_endpoints(svc.name);
@@ -175,6 +178,7 @@ void InvariantChecker::register_builtins() {
     });
     return examined;
   });
+  // -- k8s: a pod marked ready is a running pod. --------------------------
   add_counted_invariant("k8s.pods",
                         [this](std::vector<std::string>& out) -> std::uint64_t {
     std::uint64_t examined = 0;

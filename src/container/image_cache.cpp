@@ -8,8 +8,8 @@ namespace sf::container {
 
 bool ImageCache::has_image(const std::string& image_name,
                            const Registry& registry) const {
-  const auto manifest = registry.manifest(image_name);
-  if (!manifest) return false;
+  const Image* manifest = registry.manifest(image_name);
+  if (manifest == nullptr) return false;
   for (const auto& layer : manifest->layers) {
     if (!layers_.contains(layer.digest)) return false;
   }
@@ -26,12 +26,18 @@ void ImageCache::seed_image(const Image& image) {
   for (const auto& layer : image.layers) {
     layers_[layer.digest] = layer.bytes;
   }
+  if (on_layers_changed_) on_layers_changed_();
+}
+
+void ImageCache::clear() {
+  layers_.clear();
+  if (on_layers_changed_) on_layers_changed_();
 }
 
 void ImageCache::ensure_image(const std::string& image_name,
                               Registry& registry, PullCallback on_done) {
-  const auto manifest = registry.manifest(image_name);
-  if (!manifest) {
+  const Image* manifest = registry.manifest(image_name);
+  if (manifest == nullptr) {
     on_done(false);
     return;
   }
@@ -86,6 +92,7 @@ void ImageCache::start_download(const std::string& image_name,
           for (const auto& layer : manifest.layers) {
             layers_[layer.digest] = layer.bytes;
           }
+          if (on_layers_changed_) on_layers_changed_();
           finish_pull(image_name, true);
         });
       });

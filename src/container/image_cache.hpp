@@ -49,7 +49,14 @@ class ImageCache {
   void seed_image(const Image& image);
 
   /// Drops every cached layer (image GC in tests).
-  void clear() { layers_.clear(); }
+  void clear();
+
+  /// Called after every change to the cached layer set (seed, completed
+  /// pull, clear), so derived per-node state such as the scheduler's
+  /// image-locality bits can be recomputed. One listener; may be empty.
+  void on_layers_changed(std::function<void()> fn) {
+    on_layers_changed_ = std::move(fn);
+  }
 
   [[nodiscard]] std::uint64_t pulls_started() const { return pulls_started_; }
   [[nodiscard]] std::uint64_t pulls_coalesced() const {
@@ -83,6 +90,7 @@ class ImageCache {
   net::FlowNetwork& network_;
   std::map<std::string, double> layers_;  // digest → bytes
   std::map<std::string, std::vector<PullCallback>> in_flight_;
+  std::function<void()> on_layers_changed_;
   std::uint64_t pulls_started_ = 0;
   std::uint64_t pulls_coalesced_ = 0;
   std::uint64_t pull_retries_ = 0;

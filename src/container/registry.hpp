@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "cluster/node.hpp"
@@ -23,14 +23,23 @@ class Registry {
   [[nodiscard]] net::NodeId net_id() const { return node_.net_id(); }
 
   /// Publishes (or replaces) an image.
-  void push(Image image) { images_[image.name] = std::move(image); }
-
-  /// Manifest lookup by "repo:tag".
-  [[nodiscard]] std::optional<Image> manifest(const std::string& name) const {
-    auto it = images_.find(name);
-    if (it == images_.end()) return std::nullopt;
-    return it->second;
+  void push(Image image) {
+    images_[image.name] = std::move(image);
+    ++generation_;
   }
+
+  /// Manifest lookup by "repo:tag"; nullptr when absent. The pointer stays
+  /// valid for the registry's lifetime, but a push of the same name
+  /// replaces what it points to: callers that keep the manifest across
+  /// sim time keep a copy.
+  [[nodiscard]] const Image* manifest(const std::string& name) const {
+    auto it = images_.find(name);
+    return it == images_.end() ? nullptr : &it->second;
+  }
+
+  /// Counts pushes. Anything derived from manifests (per-node image
+  /// locality) is stale once this moves.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] bool has(const std::string& name) const {
     return images_.contains(name);
@@ -55,6 +64,7 @@ class Registry {
  private:
   cluster::Node& node_;
   std::map<std::string, Image> images_;
+  std::uint64_t generation_ = 0;
   double outage_until_ = 0;
 };
 

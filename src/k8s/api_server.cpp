@@ -18,6 +18,7 @@ std::uint32_t ApiServer::node_slot(const std::string& name) {
   node_slots_.back().name = name;
   node_lease_.push_back(0.0);
   node_flags_.push_back(0);
+  node_usage_.emplace_back();
   return slot;
 }
 
@@ -59,6 +60,14 @@ void ApiServer::register_node(NodeObject node) {
   NodeObject& stored = nodes_[node.name];
   stored = std::move(node);
   NodeSlot& ns = node_slots_[slot];
+  if (ns.obj == nullptr) {
+    const auto pos = std::lower_bound(
+        node_order_.begin(), node_order_.end(), ns.name,
+        [this](std::uint32_t s, const std::string& name) {
+          return node_slots_[s].name < name;
+        });
+    node_order_.insert(pos, slot);
+  }
   ns.obj = &stored;
   node_lease_[slot] = sim_.now();
   sync_node_tracking(slot);
@@ -115,6 +124,7 @@ void ApiServer::ensure_pod_side(std::uint32_t pod_slot) {
     pod_node_pos_.resize(pod_slot + 1, 0);
     pod_owner_slot_.resize(pod_slot + 1, kNoSlot);
     pod_owner_pos_.resize(pod_slot + 1, 0);
+    pod_services_.resize(pod_slot + 1);
   }
 }
 
@@ -189,6 +199,7 @@ Uid ApiServer::create_pod(Pod pod) {
   if (usage_counted(*stored)) {
     add_usage(pod_node_slot_[pslot], *stored);
   }
+  if (servable(*stored)) index_pod(pslot, false);
   notify_pod(EventType::kAdded, *stored, pod_node_slot_[pslot]);
   return stored->uid;
 }
@@ -202,6 +213,8 @@ bool ApiServer::mutate_pod(const std::string& name,
   const std::uint32_t old_node = pod_node_slot_[pslot];
   const double old_cpu = pod->cpu_request;
   const double old_mem = pod->memory_request;
+  const net::NodeId old_host = pod->host_net_id;
+  const net::Port old_port = pod->port;
   mutate(*pod);
   // Re-link on (re)bind. In practice node_name only ever transitions
   // empty -> bound (the scheduler binds Pending pods once), so the common
@@ -228,6 +241,11 @@ bool ApiServer::mutate_pod(const std::string& name,
       if (now) add_usage(new_node, *pod);
     }
   }
+  // Most mutations touch a pod that is neither servable nor listed: they
+  // leave every ready index alone without looking at a service.
+  if (servable(*pod) || !pod_services_[pslot].empty()) {
+    index_pod(pslot, old_host != pod->host_net_id || old_port != pod->port);
+  }
   notify_pod(EventType::kModified, *pod, new_node);
   return true;
 }
@@ -237,13 +255,8 @@ void ApiServer::watch_pods_on_node(const std::string& node, PodWatch watch) {
       SeqPodWatch{watch_seq_++, std::move(watch)});
 }
 
-ApiServer::NodeUsage ApiServer::node_usage(const std::string& node) const {
-  const std::uint32_t slot = find_node_slot(node);
-  return slot == kNoSlot ? NodeUsage{} : node_slots_[slot].usage;
-}
-
 void ApiServer::add_usage(std::uint32_t node_slot, const Pod& pod) {
-  NodeUsage& u = node_slots_[node_slot].usage;
+  NodeUsage& u = node_usage_[node_slot];
   u.cpu += pod.cpu_request;
   u.memory += pod.memory_request;
   ++u.pods;
@@ -251,7 +264,7 @@ void ApiServer::add_usage(std::uint32_t node_slot, const Pod& pod) {
 
 void ApiServer::sub_usage(std::uint32_t node_slot, double cpu, double memory) {
   if (node_slot == kNoSlot) return;
-  NodeUsage& u = node_slots_[node_slot].usage;
+  NodeUsage& u = node_usage_[node_slot];
   u.cpu -= cpu;
   u.memory -= memory;
   --u.pods;
@@ -270,7 +283,9 @@ std::vector<const Pod*> ApiServer::list_pods() const {
 
 std::vector<const Pod*> ApiServer::list_pods(const Labels& selector) const {
   std::vector<const Pod*> out;
-  for_each_pod(selector, [&](const Pod& pod) { out.push_back(&pod); });
+  pods_.for_each([&](const Pod& pod) {
+    if (selector_matches(selector, pod.labels)) out.push_back(&pod);
+  });
   return out;
 }
 
@@ -289,6 +304,7 @@ void ApiServer::delete_pod(const std::string& name) {
   if (!was && usage_counted(*pod)) {
     add_usage(pod_node_slot_[pslot], *pod);
   }
+  unindex_pod(pslot);
   notify_pod(EventType::kModified, *pod, pod_node_slot_[pslot]);
   if (never_ran) {
     // No kubelet owns it; finalize directly.
@@ -302,6 +318,7 @@ void ApiServer::finalize_pod_deletion(const std::string& name) {
   const std::uint32_t nslot = pod_node_slot_[pslot];
   unlink_pod_node(pslot);
   unlink_pod_owner(pslot);
+  unindex_pod(pslot);  // while the pod's name is still in the store
   std::optional<Pod> removed = pods_.take(name);
   ++pods_finalized_total_;
   assert(pods_created_total_ - pods_finalized_total_ == pods_.size());
@@ -356,6 +373,17 @@ Uid ApiServer::create_service(Service svc) {
   const auto res = services_.insert(name, std::move(svc));
   if (!res.inserted) throw std::invalid_argument("ApiServer: service exists");
   ++next_uid_;
+  // One rescan per service creation; pod mutations keep it from here on.
+  if (res.slot >= ready_.size()) ready_.resize(res.slot + 1);
+  ReadyIndex& index = ready_[res.slot];
+  index.pods.clear();
+  pods_.for_each_slot([&](std::uint32_t pslot, const Pod& pod) {
+    if (servable(pod) && selector_matches(res.obj->selector, pod.labels)) {
+      index.pods.push_back(pslot);  // name order: the store's visit order
+      pod_services_[pslot].push_back(res.slot);
+    }
+  });
+  index.version = ++ready_versions_;
   // A fresh service starts with empty endpoints.
   Endpoints* eps = endpoints_.find(name);
   if (eps != nullptr) {
@@ -367,7 +395,15 @@ Uid ApiServer::create_service(Service svc) {
 }
 
 void ApiServer::delete_service(const std::string& name) {
-  services_.take(name);
+  const std::uint32_t slot = services_.slot_of(name);
+  if (slot != kNoSlot) {
+    for (const std::uint32_t pslot : ready_[slot].pods) {
+      std::vector<std::uint32_t>& listed = pod_services_[pslot];
+      listed.erase(std::find(listed.begin(), listed.end(), slot));
+    }
+    ready_[slot].pods.clear();
+    services_.take(name);
+  }
   std::optional<Endpoints> removed = endpoints_.take(name);
   if (removed.has_value()) {
     notify_endpoints(EventType::kDeleted, *removed);
@@ -388,6 +424,8 @@ std::vector<const Service*> ApiServer::list_services() const {
 void ApiServer::set_endpoints(Endpoints eps) {
   Endpoints* existing = endpoints_.find(eps.service_name);
   if (existing != nullptr && existing->ready == eps.ready) return;  // no change
+  const std::uint32_t service = services_.slot_of(eps.service_name);
+  if (service != kNoSlot) ready_[service].version = ++ready_versions_;
   const EventType type =
       existing != nullptr ? EventType::kModified : EventType::kAdded;
   if (existing != nullptr) {
@@ -403,6 +441,115 @@ void ApiServer::set_endpoints(Endpoints eps) {
 const Endpoints* ApiServer::get_endpoints(
     const std::string& service_name) const {
   return endpoints_.find(service_name);
+}
+
+// ---- Ready-endpoint index ------------------------------------------------
+
+std::vector<std::uint32_t>::iterator ApiServer::ready_position(
+    std::vector<std::uint32_t>& pods, std::uint32_t pod_slot) const {
+  const std::string& name = pods_.at(pod_slot).name;
+  return std::lower_bound(pods.begin(), pods.end(), name,
+                          [this](std::uint32_t p, const std::string& n) {
+                            return pods_.at(p).name < n;
+                          });
+}
+
+void ApiServer::ready_insert(std::uint32_t service_slot,
+                             std::uint32_t pod_slot) {
+  ReadyIndex& index = ready_[service_slot];
+  index.pods.insert(ready_position(index.pods, pod_slot), pod_slot);
+  index.version = ++ready_versions_;
+  pod_services_[pod_slot].push_back(service_slot);
+}
+
+void ApiServer::ready_erase(std::uint32_t service_slot,
+                            std::uint32_t pod_slot) {
+  ReadyIndex& index = ready_[service_slot];
+  const auto it = ready_position(index.pods, pod_slot);
+  assert(it != index.pods.end() && *it == pod_slot);
+  index.pods.erase(it);
+  index.version = ++ready_versions_;
+}
+
+void ApiServer::unindex_pod(std::uint32_t pod_slot) {
+  std::vector<std::uint32_t>& listed = pod_services_[pod_slot];
+  for (const std::uint32_t service : listed) ready_erase(service, pod_slot);
+  listed.clear();
+}
+
+void ApiServer::index_pod(std::uint32_t pod_slot, bool address_moved) {
+  const Pod& pod = pods_.at(pod_slot);
+  if (!servable(pod)) {
+    unindex_pod(pod_slot);
+    return;
+  }
+  std::vector<std::uint32_t>& listed = pod_services_[pod_slot];
+  services_.for_each_slot([&](std::uint32_t service, const Service& svc) {
+    const auto it = std::find(listed.begin(), listed.end(), service);
+    const bool was = it != listed.end();
+    if (!selector_matches(svc.selector, pod.labels)) {
+      if (was) {
+        ready_erase(service, pod_slot);
+        listed.erase(it);
+      }
+    } else if (!was) {
+      ready_insert(service, pod_slot);
+    } else if (address_moved) {
+      ready_[service].version = ++ready_versions_;
+    }
+  });
+}
+
+Endpoints ApiServer::ready_endpoints(std::uint32_t service_slot) const {
+  Endpoints eps;
+  eps.service_name = services_.at(service_slot).name;
+  const std::vector<std::uint32_t>& pods = ready_[service_slot].pods;
+  eps.ready.reserve(pods.size());
+  for (const std::uint32_t pslot : pods) {
+    const Pod& pod = pods_.at(pslot);
+    eps.ready.push_back(Endpoint{pod.name, pod.host_net_id, pod.port});
+  }
+  return eps;
+}
+
+std::vector<std::string> ApiServer::self_check() const {
+  std::vector<std::string> out;
+  std::size_t listed = 0;
+  services_.for_each_slot([&](std::uint32_t service, const Service& svc) {
+    std::vector<std::uint32_t> rescan;
+    pods_.for_each_slot([&](std::uint32_t pslot, const Pod& pod) {
+      if (servable(pod) && selector_matches(svc.selector, pod.labels)) {
+        rescan.push_back(pslot);
+      }
+    });
+    if (rescan != ready_[service].pods) {
+      out.push_back("service " + svc.name + ": ready index lists " +
+                    std::to_string(ready_[service].pods.size()) +
+                    " pods, a rescan of live pods finds " +
+                    std::to_string(rescan.size()) + " (or another order)");
+    }
+    listed += ready_[service].pods.size();
+  });
+  std::size_t back_links = 0;
+  pods_.for_each_slot([&](std::uint32_t pslot, const Pod&) {
+    back_links += pod_services_[pslot].size();
+  });
+  if (back_links != listed) {
+    out.push_back("ready indexes list " + std::to_string(listed) +
+                  " pods but live pods link back " +
+                  std::to_string(back_links) + " times");
+  }
+  bool same = node_order_.size() == nodes_.size();
+  auto slot = node_order_.begin();
+  for (auto it = nodes_.begin(); same && it != nodes_.end(); ++it, ++slot) {
+    same = node_slots_[*slot].obj == &it->second;
+  }
+  if (!same) {
+    out.push_back("node_slots_by_name() disagrees with nodes(): " +
+                  std::to_string(node_order_.size()) + " slots, " +
+                  std::to_string(nodes_.size()) + " nodes");
+  }
+  return out;
 }
 
 // ---- Watch delivery ----------------------------------------------------

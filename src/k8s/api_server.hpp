@@ -38,7 +38,15 @@ enum class EventType { kAdded, kModified, kDeleted };
 /// their node slot through side arrays, so the per-event path never hashes
 /// a node name. Lease deadlines are mirrored into a calendarized
 /// LeaseIndex so the lifecycle sweep pops only expired leases instead of
-/// rescanning every node.
+/// rescanning every node. Registered slots are also kept in name order,
+/// which is the scheduler's scan order.
+///
+/// Each Service has a ready-endpoint index: the slots of its ready,
+/// Running, selector-matching pods in pod-name order, plus a version.
+/// Like the usage aggregates, it is updated synchronously inside every
+/// pod-store and service-store mutation, never from watch events, so a
+/// reader always sees the live store — what a full rescan at that instant
+/// would find.
 class ApiServer {
  public:
   /// Sentinel for "no slot" in the node-slot / pod-slot spaces (same value
@@ -61,6 +69,19 @@ class ApiServer {
   void register_node(NodeObject node);
   [[nodiscard]] const std::map<std::string, NodeObject>& nodes() const {
     return nodes_;
+  }
+
+  /// Slots of the registered nodes in ascending name order: the order
+  /// nodes() iterates in, addressable without a name hash.
+  [[nodiscard]] const std::vector<std::uint32_t>& node_slots_by_name() const {
+    return node_order_;
+  }
+  /// The registered node in `slot` (a slot from node_slots_by_name()).
+  [[nodiscard]] const NodeObject& node_at(std::uint32_t slot) const {
+    return *node_slots_[slot].obj;
+  }
+  [[nodiscard]] const std::string& node_name(std::uint32_t slot) const {
+    return node_slots_[slot].name;
   }
 
   /// Flips a node's Ready condition and notifies node watchers
@@ -136,14 +157,6 @@ class ApiServer {
     pods_.for_each(std::forward<F>(fn));
   }
 
-  /// Visits pods matching `selector` in name order.
-  template <typename F>
-  void for_each_pod(const Labels& selector, F&& fn) const {
-    pods_.for_each([&](const Pod& pod) {
-      if (selector_matches(selector, pod.labels)) fn(pod);
-    });
-  }
-
   /// Visits only the pods bound to `node`, via the per-node posting list —
   /// O(pods on that node), not O(all pods). Visitation order is
   /// deterministic but unspecified (bind/finalize history); callers sort
@@ -214,7 +227,9 @@ class ApiServer {
     double memory = 0;
     std::uint32_t pods = 0;
   };
-  [[nodiscard]] NodeUsage node_usage(const std::string& node) const;
+  [[nodiscard]] const NodeUsage& node_usage_at(std::uint32_t slot) const {
+    return node_usage_[slot];
+  }
 
   // ---- Deployments ----------------------------------------------------
 
@@ -244,6 +259,29 @@ class ApiServer {
   void for_each_service(F&& fn) const {
     services_.for_each(std::forward<F>(fn));
   }
+  /// Same, passing each service's store slot too: fn(slot, svc). The slot
+  /// addresses the service's ready-endpoint index.
+  template <typename F>
+  void for_each_service_slot(F&& fn) const {
+    services_.for_each_slot(std::forward<F>(fn));
+  }
+
+  /// Version of a service's ready-endpoint index. Versions come from one
+  /// counter for the whole server, so a re-created service never repeats
+  /// an old one. It moves when the index gains or loses a pod, when a
+  /// listed pod's address changes, and when set_endpoints writes the
+  /// service's stored Endpoints object.
+  [[nodiscard]] std::uint64_t ready_version(std::uint32_t service_slot) const {
+    return ready_[service_slot].version;
+  }
+  /// The service's ready, Running, selector-matching pods in pod-name
+  /// order, as the Endpoints object a full pod-store rescan would build.
+  [[nodiscard]] Endpoints ready_endpoints(std::uint32_t service_slot) const;
+
+  /// Compares every service's ready-endpoint index with a full rescan of
+  /// the live pods, and node_slots_by_name() with nodes(). Returns one
+  /// message per disagreement; empty when the indexes are exact.
+  [[nodiscard]] std::vector<std::string> self_check() const;
 
   [[nodiscard]] std::vector<const Service*> list_services() const;
   void set_endpoints(Endpoints eps);
@@ -285,7 +323,6 @@ class ApiServer {
   struct NodeSlot {
     std::string name;
     NodeObject* obj = nullptr;  ///< into nodes_; null until registered
-    NodeUsage usage;
     std::deque<SeqPodWatch> watches;   ///< node-scoped pod watch shard
     std::vector<std::uint32_t> pods;   ///< pod slots bound to this node
   };
@@ -309,6 +346,25 @@ class ApiServer {
   }
   void add_usage(std::uint32_t node_slot, const Pod& pod);
   void sub_usage(std::uint32_t node_slot, double cpu, double memory);
+
+  /// A Service's ready endpoints: the slots of its ready, Running,
+  /// selector-matching pods, kept in pod-name order.
+  struct ReadyIndex {
+    std::vector<std::uint32_t> pods;
+    std::uint64_t version = 0;
+  };
+  [[nodiscard]] static bool servable(const Pod& pod) {
+    return pod.ready && pod.phase == PodPhase::kRunning;
+  }
+  /// Re-derives which indexes list the pod after a change to it;
+  /// `address_moved` bumps the versions of indexes that keep listing it.
+  void index_pod(std::uint32_t pod_slot, bool address_moved);
+  void unindex_pod(std::uint32_t pod_slot);
+  void ready_insert(std::uint32_t service_slot, std::uint32_t pod_slot);
+  void ready_erase(std::uint32_t service_slot, std::uint32_t pod_slot);
+  /// Position of `pod_slot` (or where it belongs) in a name-ordered index.
+  [[nodiscard]] std::vector<std::uint32_t>::iterator ready_position(
+      std::vector<std::uint32_t>& pods, std::uint32_t pod_slot) const;
 
   /// Pod-slot side arrays + posting-list maintenance (swap-remove with
   /// position back-pointers; order is irrelevant — see for_each_pod_on_node).
@@ -356,6 +412,17 @@ class ApiServer {
   // renew_node_lease_slot): last lease stamp and registered/ready flags.
   std::vector<double> node_lease_;
   std::vector<std::uint8_t> node_flags_;
+
+  // Per-node usage aggregates by node slot, and the registered slots in
+  // name order (the scheduler's scan: both read without a name hash).
+  std::vector<NodeUsage> node_usage_;
+  std::vector<std::uint32_t> node_order_;
+
+  // Ready-endpoint indexes by service slot, the service slots listing each
+  // pod (by pod slot; almost always zero or one), and the version counter.
+  std::vector<ReadyIndex> ready_;
+  std::vector<std::vector<std::uint32_t>> pod_services_;
+  std::uint64_t ready_versions_ = 0;
 
   // Lease deadlines of ready nodes, calendarized; not-ready nodes wait on
   // the recovery-pending list (O(not-ready) per sweep, not O(nodes)).

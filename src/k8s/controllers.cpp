@@ -206,27 +206,19 @@ EndpointsController::EndpointsController(ApiServer& api) : api_(api) {
 }
 
 void EndpointsController::refresh_matching(const Pod& pod) {
-  // Only services selecting this pod's labels can have changed; the label
-  // match is a cheap map scan, the pod-list rebuild is the expensive part
-  // we now skip for everyone else.
-  api_.for_each_service([&](const Service& svc) {
+  // set_endpoints touches only the endpoints store (and index versions),
+  // so visiting services in place is safe.
+  api_.for_each_service_slot([&](std::uint32_t slot, const Service& svc) {
     if (!selector_matches(svc.selector, pod.labels)) return;
-    rebuild(svc);
-  });
-}
-
-void EndpointsController::rebuild(const Service& svc) {
-  // set_endpoints touches only the endpoints store, so visiting services
-  // and pods in place is safe (no copies of either list).
-  ++refreshes_;
-  Endpoints eps;
-  eps.service_name = svc.name;
-  api_.for_each_pod(svc.selector, [&](const Pod& pod) {
-    if (pod.ready && pod.phase == PodPhase::kRunning) {
-      eps.ready.push_back(Endpoint{pod.name, pod.host_net_id, pod.port});
+    ++refreshes_;
+    if (slot >= published_.size()) published_.resize(slot + 1, 0);
+    if (published_[slot] == api_.ready_version(slot) &&
+        api_.get_endpoints(svc.name) != nullptr) {
+      return;  // set_endpoints would find the stored list unchanged
     }
+    api_.set_endpoints(api_.ready_endpoints(slot));
+    published_[slot] = api_.ready_version(slot);
   });
-  api_.set_endpoints(std::move(eps));
 }
 
 }  // namespace sf::k8s

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "fault/retry.hpp"
 #include "k8s/api_server.hpp"
@@ -120,13 +121,14 @@ class NodeLifecycleController {
 /// Maintains each Service's Endpoints as the set of ready pods matching
 /// its selector.
 ///
-/// Dirty-marking: a pod watch event rebuilds only the services whose
-/// selector matches the pod's labels — O(changed selectors) per event —
-/// instead of rebuilding every service's ready list on every pod event
-/// (the old refresh_all, which scanned all pods once per service per
-/// event). set_endpoints already no-ops on unchanged ready lists, so the
-/// emitted endpoints-event stream is identical; only the wasted rebuild
-/// work goes away.
+/// A pod watch event refreshes only the services whose selector matches
+/// the pod's labels. A refresh reads the service's ready-endpoint index,
+/// which the API server keeps in step with the live pod store, so it
+/// publishes exactly what a full rescan at delivery time would have found
+/// without scanning any pod. When the index's version has not moved since
+/// this controller's last set_endpoints call for the service (and the
+/// stored object still exists), that call would return early, so it is
+/// skipped and the refresh costs O(1).
 class EndpointsController {
  public:
   explicit EndpointsController(ApiServer& api);
@@ -134,17 +136,21 @@ class EndpointsController {
   EndpointsController(const EndpointsController&) = delete;
   EndpointsController& operator=(const EndpointsController&) = delete;
 
-  /// Probe counter: endpoints rebuilds performed (one per matching
-  /// service per pod event). The regression test pins this to the number
-  /// of *matching* events, proving non-matching services are skipped.
+  /// Probe counter: endpoints refreshes performed (one per matching
+  /// service per pod event, skipped or not). The regression test pins this
+  /// to the number of *matching* events, proving non-matching services are
+  /// skipped.
   [[nodiscard]] std::uint64_t refreshes() const { return refreshes_; }
 
  private:
   void refresh_matching(const Pod& pod);
-  void rebuild(const Service& svc);
 
   ApiServer& api_;
   std::uint64_t refreshes_ = 0;
+  /// Index version after this controller's last set_endpoints call, by
+  /// service slot (0: never called). Versions are never reused, so a slot
+  /// reused by a new service cannot match a stale entry.
+  std::vector<std::uint64_t> published_;
 };
 
 }  // namespace sf::k8s

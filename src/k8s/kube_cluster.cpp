@@ -1,5 +1,6 @@
 #include "k8s/kube_cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,10 +15,8 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
       api_(cluster.sim()),
       heartbeat_wheel_(api_),
       scheduler_(api_,
-                 [this](const std::string& node, const std::string& image) {
-                   auto it = workers_.find(node);
-                   return it != workers_.end() &&
-                          it->second.cache->has_image(image, registry_);
+                 [this](const std::string& image) {
+                   return image_locality(image);
                  }),
       deployment_controller_(api_),
       endpoints_controller_(api_) {
@@ -33,6 +32,8 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
     api_.register_node(NodeObject{node->name(), node->spec().cores,
                                   node->spec().memory_bytes,
                                   node->net_id()});
+    w.slot = api_.find_node_slot(node->name());
+    slot_span_ = std::max<std::size_t>(slot_span_, w.slot + 1);
     auto [it, inserted] = workers_.emplace(node->name(), std::move(w));
     // Ordered teardown on node crash: the kubelet forgets its pods first
     // (so late pull/exec callbacks die at their managed_ lookup), then the
@@ -41,6 +42,7 @@ KubeCluster::KubeCluster(cluster::Cluster& cluster,
     // node last — a dead kubelet stops ticking instead of being polled
     // forever — and picks it back up on reboot.
     WorkerNode* wp = &it->second;
+    wp->cache->on_layers_changed([this, wp] { refresh_locality(*wp); });
     node->on_fail([this, wp] {
       wp->kubelet->handle_node_crash();
       wp->runtime->handle_node_crash();
@@ -131,6 +133,26 @@ void KubeCluster::exec_in_pod(const std::string& pod_name, double work,
     return;
   }
   w.runtime->exec(cid, work, std::move(on_done));
+}
+
+const std::vector<std::uint8_t>* KubeCluster::image_locality(
+    const std::string& image) {
+  auto [it, fresh] = locality_.try_emplace(image);
+  Locality& loc = it->second;
+  if (fresh || loc.generation != registry_.generation()) {
+    loc.generation = registry_.generation();
+    loc.local.assign(slot_span_, 0);
+    for (const auto& [name, w] : workers_) {
+      loc.local[w.slot] = w.cache->has_image(image, registry_) ? 1 : 0;
+    }
+  }
+  return &loc.local;
+}
+
+void KubeCluster::refresh_locality(const WorkerNode& w) {
+  for (auto& [image, loc] : locality_) {
+    loc.local[w.slot] = w.cache->has_image(image, registry_) ? 1 : 0;
+  }
 }
 
 void KubeCluster::seed_image_everywhere(const container::Image& image) {

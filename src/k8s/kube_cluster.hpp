@@ -25,12 +25,22 @@ struct WorkerNode {
   std::unique_ptr<Kubelet> kubelet;
   /// Heartbeat-wheel membership; kNone until node lifecycle is enabled.
   std::uint32_t hb_member = HeartbeatWheel::kNone;
+  /// The node's API-server node slot.
+  std::uint32_t slot = ApiServer::kNoSlot;
 };
 
 /// A fully wired Kubernetes control plane over a set of cluster nodes:
 /// API server, scheduler (with image-locality scoring), deployment and
 /// endpoints controllers, plus one kubelet/image-cache/container-runtime
 /// per worker.
+///
+/// Image locality for the scheduler is a byte per node slot for each image
+/// a pod has asked for. A node's bytes are recomputed from
+/// ImageCache::has_image whenever its layer set changes (seed, completed
+/// pull, clear); an image's bytes are recomputed for every node when the
+/// registry's generation has moved since they were computed (a push may
+/// have replaced its layers). So every byte equals has_image whenever the
+/// scheduler reads it.
 class KubeCluster {
  public:
   /// `workers` selects which cluster nodes join as workers; the registry
@@ -106,6 +116,18 @@ class KubeCluster {
   ApiServer api_;
   HeartbeatWheel heartbeat_wheel_;
   std::map<std::string, WorkerNode> workers_;
+
+  /// One image's locality bytes, by node slot, valid for one registry
+  /// generation.
+  struct Locality {
+    std::vector<std::uint8_t> local;
+    std::uint64_t generation = 0;
+  };
+  const std::vector<std::uint8_t>* image_locality(const std::string& image);
+  void refresh_locality(const WorkerNode& w);
+  std::map<std::string, Locality> locality_;
+  std::size_t slot_span_ = 0;  ///< 1 + the largest worker node slot
+
   Scheduler scheduler_;
   DeploymentController deployment_controller_;
   EndpointsController endpoints_controller_;

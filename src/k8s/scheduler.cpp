@@ -39,11 +39,15 @@ void Scheduler::try_schedule(const std::string& pod_name) {
   // rebuilt them from a full pod-store scan on every bind). The request
   // values in play are exactly representable, so the incrementally kept
   // sums equal the rescan's sums bit for bit and scores are unchanged.
-  std::string best_node;
+  const std::vector<std::uint8_t>* local =
+      image_locality_ ? image_locality_(pod->container.image) : nullptr;
+  const std::size_t n_local = local != nullptr ? local->size() : 0;
+  std::uint32_t best = ApiServer::kNoSlot;
   double best_score = -std::numeric_limits<double>::infinity();
-  for (const auto& [name, node] : api_.nodes()) {
+  for (const std::uint32_t slot : api_.node_slots_by_name()) {
+    const NodeObject& node = api_.node_at(slot);
     if (!node.ready) continue;  // filter: NotReady (crashed / lease expired)
-    const ApiServer::NodeUsage used = api_.node_usage(name);
+    const ApiServer::NodeUsage& used = api_.node_usage_at(slot);
     const double used_cpu = used.cpu;
     const double used_mem = used.memory;
     if (used_cpu + pod->cpu_request > node.allocatable_cpu ||
@@ -53,16 +57,14 @@ void Scheduler::try_schedule(const std::string& pod_name) {
     // Score: least-requested CPU fraction, plus image-locality bonus.
     double score =
         1.0 - (used_cpu + pod->cpu_request) / node.allocatable_cpu;
-    if (image_locality_ && image_locality_(name, pod->container.image)) {
-      score += kLocalityWeight;
-    }
-    if (score > best_score) {
+    if (slot < n_local && (*local)[slot] != 0) score += kLocalityWeight;
+    if (score > best_score) {  // strict: the first best in name order wins
       best_score = score;
-      best_node = name;
+      best = slot;
     }
   }
 
-  if (best_node.empty()) {
+  if (best == ApiServer::kNoSlot) {
     // Unschedulable: remember it and retry after backoff.
     if (unschedulable_.insert(pod_name).second && !retry_scheduled_) {
       retry_scheduled_ = true;
@@ -74,6 +76,7 @@ void Scheduler::try_schedule(const std::string& pod_name) {
     return;
   }
 
+  const std::string& best_node = api_.node_name(best);
   unschedulable_.erase(pod_name);
   ++binds_;
   api_.sim().trace().record(api_.sim().now(), "k8s", "bind",

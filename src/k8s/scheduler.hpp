@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "k8s/api_server.hpp"
 
@@ -12,12 +14,20 @@ namespace sf::k8s {
 /// least-requested CPU plus an image-locality bonus, binds the winner.
 /// Unschedulable pods are retried after a backoff and whenever capacity
 /// frees up.
+///
+/// A scheduling attempt walks the API server's registered node slots in
+/// name order and reads each node's object and usage aggregate by slot.
+/// Image locality is resolved once per attempt into a byte per node slot,
+/// so a candidate node costs no name hash, map find or call.
 class Scheduler {
  public:
-  /// `image_locality(node_name, image)` reports whether a node already
-  /// caches an image; may be empty (no locality scoring).
-  using ImageLocalityFn =
-      std::function<bool(const std::string& node, const std::string& image)>;
+  /// `image_locality(image)` returns, indexed by API-server node slot, 1
+  /// where that node caches every layer of `image` and 0 elsewhere (slots
+  /// past the end count as 0). Called once per scheduling attempt; the
+  /// result is read before anything else runs. May be empty (no locality
+  /// scoring).
+  using ImageLocalityFn = std::function<const std::vector<std::uint8_t>*(
+      const std::string& image)>;
 
   explicit Scheduler(ApiServer& api, ImageLocalityFn image_locality = {});
 

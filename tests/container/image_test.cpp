@@ -50,14 +50,14 @@ class RegistryTest : public ::testing::Test {
 TEST_F(RegistryTest, PushAndManifest) {
   hub.push(make_task_image("matmul"));
   EXPECT_TRUE(hub.has("matmul:latest"));
-  const auto m = hub.manifest("matmul:latest");
-  ASSERT_TRUE(m.has_value());
+  const Image* m = hub.manifest("matmul:latest");
+  ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->name, "matmul:latest");
   EXPECT_EQ(hub.image_count(), 1u);
 }
 
 TEST_F(RegistryTest, MissingManifestEmpty) {
-  EXPECT_FALSE(hub.manifest("ghost:1").has_value());
+  EXPECT_EQ(hub.manifest("ghost:1"), nullptr);
   EXPECT_FALSE(hub.has("ghost:1"));
 }
 

@@ -171,6 +171,71 @@ TEST_F(ApiServerTest, ServiceAndEndpoints) {
   EXPECT_EQ(api.get_endpoints("matmul")->ready.size(), 1u);
 }
 
+// The incremental indexes (ready endpoints per service, registered node
+// slots in name order) agree with full rescans after every kind of
+// mutation, including a ready pod finalized without a delete first and
+// pod/service slots being reused.
+TEST_F(ApiServerTest, SelfCheckAgreesWithRescansThroughChurn) {
+  std::vector<std::string> problems;
+  auto check = [&](const char* step) {
+    for (const std::string& m : api.self_check()) {
+      problems.push_back(std::string(step) + ": " + m);
+    }
+  };
+  for (const char* n : {"node2", "node10", "node1", "node3"}) {
+    NodeObject node;
+    node.name = n;
+    node.allocatable_cpu = 8;
+    node.allocatable_memory = 32e9;
+    api.register_node(node);
+  }
+  api.register_node(NodeObject{"node10", 16, 64e9, 0, true});  // re-register
+  check("nodes");
+
+  api.create_service(Service{0, "matmul", {{"app", "matmul"}}});
+  auto serve = [&](const std::string& name, net::Port port) {
+    api.mutate_pod(name, [port](Pod& p) {
+      p.node_name = "node1";
+      p.phase = PodPhase::kRunning;
+      p.ready = true;
+      p.port = port;
+    });
+  };
+  for (const char* n : {"p3", "p1", "p2", "p0"}) {
+    api.create_pod(make_pod(n));
+    check("create");
+  }
+  serve("p2", 2);
+  serve("p0", 0);
+  serve("p3", 3);
+  check("serve");
+  // A second service over the same pods, created after they are ready.
+  api.create_service(Service{0, "all", {}});
+  check("late service");
+  api.mutate_pod("p3", [](Pod& p) { p.port = 30; });
+  api.mutate_pod("p0", [](Pod& p) { p.labels["app"] = "other"; });
+  check("address and labels");
+  api.mutate_pod("p2", [](Pod& p) { p.ready = false; });
+  check("unready");
+  api.delete_pod("p3");
+  check("delete");
+  api.finalize_pod_deletion("p0");  // ready, never deleted first
+  check("finalize ready");
+  api.create_pod(make_pod("p4"));  // may reuse p0's slot
+  serve("p4", 4);
+  check("slot reuse");
+  api.delete_service("matmul");
+  api.create_service(Service{0, "matmul", {{"app", "matmul"}}});
+  check("re-created service");
+  api.finalize_pod_deletion("p3");
+  api.finalize_pod_deletion("p4");
+  check("finalize");
+
+  EXPECT_TRUE(problems.empty()) << problems.front();
+  ASSERT_NE(api.get_service("matmul"), nullptr);
+  EXPECT_EQ(api.list_pods({{"app", "matmul"}}).size(), 2u);
+}
+
 TEST(SelectorMatch, Semantics) {
   EXPECT_TRUE(selector_matches({}, {{"a", "1"}}));
   EXPECT_TRUE(selector_matches({{"a", "1"}}, {{"a", "1"}, {"b", "2"}}));

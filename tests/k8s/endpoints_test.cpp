@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "container/image.hpp"
 #include "k8s/kube_cluster.hpp"
 #include "sim/simulation.hpp"
@@ -120,6 +123,146 @@ TEST_F(EndpointsDirtyMarkingTest, RebuildCountScalesWithMatchingEventsOnly) {
   // +2 pods cost no more rebuilds than the first +2 pods did; the noise
   // services contribute zero.
   EXPECT_LE(after_scale - with_noise, alpha_only);
+}
+
+
+// ---- Pinned endpoints watch stream ------------------------------------
+//
+// Records every endpoints watch event (type + full ready list, with each
+// endpoint's address) over a churny run and pins the transcript's digest.
+// The run covers the paths whose timing an endpoints implementation can
+// get wrong: two pods of one service changing inside one API-latency
+// window (the controller reads the live store when the first event
+// arrives, so the second event must produce nothing), an endpoint's
+// address changing while it stays ready, a label change moving a ready
+// pod between services, a scale-down, a pod kill, a node crash with
+// eviction and recovery, and a service deleted and re-created over ready
+// pods.
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(EndpointsControllerTest, WatchStreamIsPinned) {
+  sim::Simulation sim;
+  auto cl = cluster::make_uniform_cluster(sim, 9, cluster::NodeSpec{});
+  container::Registry hub{cl->node(0)};
+  std::vector<cluster::Node*> workers;
+  for (std::size_t i = 1; i < cl->size(); ++i) {
+    workers.push_back(&cl->node(i));
+  }
+  KubeCluster kube{*cl, hub, workers};
+  hub.push(container::make_task_image("matmul"));
+  kube.seed_image_everywhere(container::make_task_image("matmul"));
+  kube.enable_node_lifecycle();
+  ApiServer& api = kube.api();
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t events = 0;
+  api.watch_endpoints([&](EventType type, const Endpoints& eps) {
+    std::string line = std::to_string(sim.now()) + " " +
+                       std::to_string(static_cast<int>(type)) + " " +
+                       eps.service_name + ":";
+    for (const Endpoint& ep : eps.ready) {
+      line += " " + ep.pod_name + "@" + std::to_string(ep.net_id) + ":" +
+              std::to_string(ep.port);
+    }
+    digest = fnv1a(digest, line + "\n");
+    ++events;
+  });
+
+  auto deployment = [](const std::string& name, const Labels& labels,
+                       int replicas) {
+    Deployment d;
+    d.name = name;
+    d.selector = labels;
+    d.pod_labels = labels;
+    d.pod_template.name = name;
+    d.pod_template.image = "matmul:latest";
+    d.pod_template.memory_bytes = 512e6;
+    d.cpu_request = 0.5;
+    d.memory_request = 512e6;
+    d.replicas = replicas;
+    return d;
+  };
+  auto ready_pods_of = [&](const std::string& owner) {
+    std::vector<std::string> names;
+    api.for_each_pod([&](const Pod& p) {
+      if (p.owner == owner && p.ready) names.push_back(p.name);
+    });
+    return names;
+  };
+
+  // web selects app=web; all selects every tier=fn pod (both apps);
+  // other selects app=other. A ready web pod is listed by two services.
+  api.create_service(Service{0, "web", {{"app", "web"}}});
+  api.create_service(Service{0, "all", {{"tier", "fn"}}});
+  api.create_service(Service{0, "other", {{"app", "other"}}});
+  api.apply_deployment(deployment("web", {{"app", "web"}, {"tier", "fn"}}, 6));
+  api.apply_deployment(
+      deployment("other", {{"app", "other"}, {"tier", "fn"}}, 2));
+  sim.run_until(10.0);
+  auto web = ready_pods_of("web");
+  ASSERT_EQ(web.size(), 6u);
+
+  // Two web pods go unready 2 ms apart: the first event's rebuild already
+  // sees both changes.
+  api.mutate_pod(web[0], [](Pod& p) { p.ready = false; });
+  sim.call_in(0.002, [&] {
+    api.mutate_pod(web[1], [](Pod& p) { p.ready = false; });
+  });
+  sim.run_until(11.0);
+  api.mutate_pod(web[0], [](Pod& p) { p.ready = true; });
+  api.mutate_pod(web[1], [](Pod& p) { p.ready = true; });
+  sim.run_until(12.0);
+
+  // A ready pod's port moves: same ready set, different endpoint.
+  api.mutate_pod(web[2],
+                 [](Pod& p) { p.port = static_cast<net::Port>(p.port + 1); });
+  sim.run_until(13.0);
+
+  // A ready pod is relabelled from web to other while staying ready.
+  api.mutate_pod(web[3], [](Pod& p) { p.labels["app"] = "other"; });
+  sim.run_until(14.0);
+
+  // Scale-down: the newest web pods terminate.
+  api.set_deployment_replicas("web", 3);
+  sim.run_until(20.0);
+
+  // Pod kill: the pod fails and is replaced after the restart backoff.
+  web = ready_pods_of("web");
+  ASSERT_FALSE(web.empty());
+  ASSERT_TRUE(kube.kill_pod(web.front()));
+  sim.run_until(30.0);
+
+  // Node crash: the lease expires, pods on the node are evicted and
+  // replaced elsewhere; the node comes back later.
+  const Pod* victim = api.get_pod(ready_pods_of("web").front());
+  ASSERT_NE(victim, nullptr);
+  cluster::Node& crashed = cl->node_by_name(victim->node_name);
+  crashed.fail();
+  sim.run_until(45.0);
+  crashed.recover();
+  sim.run_until(60.0);
+  ASSERT_NE(kube.lifecycle_controller(), nullptr);
+  EXPECT_GT(kube.lifecycle_controller()->evictions(), 0u);
+
+  // The service is deleted and re-created over ready pods, then scaled up.
+  api.delete_service("web");
+  api.create_service(Service{0, "web", {{"app", "web"}}});
+  api.set_deployment_replicas("web", 5);
+  sim.run_until(80.0);
+
+  const Endpoints* eps = api.get_endpoints("web");
+  ASSERT_NE(eps, nullptr);
+  EXPECT_EQ(eps->ready.size(), 5u);
+  // Recorded with the full-rescan controller.
+  EXPECT_EQ(events, 25u);
+  EXPECT_EQ(digest, 0xa87fba950f3e14b9ull);
 }
 
 }  // namespace
